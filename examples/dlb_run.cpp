@@ -10,20 +10,15 @@
 //   --threads     worker threads (default: hardware concurrency)
 //   --shard-threads  threads stepping a single graph's shards (default 1;
 //                 every engine-driven grid honours it — rows are
-//                 byte-identical for any value). A comma list (e.g. 1,8)
+//                 byte-identical for any value). Each phase is cut into
+//                 fixed-size chunks that the shard threads claim from a
+//                 shared cursor. Both thread flags take whole integers
+//                 >= 1; anything else exits 2. A comma list (e.g. 1,8)
 //                 runs every selected grid once per value, suffixing the
 //                 grid name with -s<k> — the twin-batch form the
 //                 parallel-efficiency regression gate compares
 //                 (bench/check_regression.py). Incompatible with
 //                 --checkpoint/--resume
-//   --shard-balance  what the shard plan's node cut balances: nodes
-//                 (default) or edges (incident-edge work, for skewed degree
-//                 distributions) — byte-identical either way
-//   --shard-runner   how sharded phases distribute their ranges: steal
-//                 (default — fixed-size chunks claimed from a shared
-//                 cursor, so irregular shard cost doesn't park fast shards
-//                 at the barrier) or static (one plan slice per shard) —
-//                 byte-identical either way
 //   --cost-baseline  JSON rows file (e.g. bench/baselines/
 //                 perf_baseline.json) whose measured per-cell wall_ns seed
 //                 the scheduler's cost estimates; unknown cells keep the
@@ -71,9 +66,8 @@
 //   --resume      load a --checkpoint file before running (missing file =
 //                 cold start). The file's settings fingerprint must match
 //                 this invocation's row-affecting flags; execution-only
-//                 knobs (--threads, --shard-threads, --shard-balance,
-//                 --shard-runner, --format) may differ freely. Incompatible
-//                 with --stream
+//                 knobs (--threads, --shard-threads, --format) may differ
+//                 freely. Incompatible with --stream
 //   --format      stdout/--out serialization: json (default) or csv —
 //                 same row schema, same determinism guarantees
 //   --out         also write results (with real wall_ns timing) to this file
@@ -85,6 +79,7 @@
 // with wall_ns masked to 0, so the bytes are identical for any --threads
 // value: grid cells derive their RNG streams from (master seed, cell index),
 // never from scheduling. Use --out for the timing-bearing variant.
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -113,6 +108,16 @@ std::vector<std::string> split_csv(const std::string& text) {
     if (!item.empty()) out.push_back(item);
   }
   return out;
+}
+
+// A thread count: a whole-token decimal integer >= 1. "-1", "8x", "0" and
+// out-of-range text are nullopt, so a typo can never wrap into a huge pool.
+std::optional<unsigned> parse_thread_count(const std::string& text) {
+  unsigned v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < 1) return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -150,16 +155,15 @@ int main(int argc, char** argv) {
     std::vector<unsigned> shard_thread_list;
     for (const std::string& item :
          split_csv(args.get("shard-threads", "1"))) {
-      const unsigned long k = std::stoul(item);
-      if (k < 1) {
-        std::cerr << "--shard-threads values must be >= 1\n";
+      const std::optional<unsigned> k = parse_thread_count(item);
+      if (!k) {
+        std::cerr << "--shard-threads values must be integers >= 1, got '"
+                  << item << "'\n";
         return 2;
       }
-      shard_thread_list.push_back(static_cast<unsigned>(k));
+      shard_thread_list.push_back(*k);
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
-    opts.shard_cut = parse_shard_balance(args.get("shard-balance", "nodes"));
-    opts.shard_runner = parse_shard_exec(args.get("shard-runner", "steal"));
     const std::string cost_baseline = args.get("cost-baseline", "");
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
@@ -172,8 +176,16 @@ int main(int argc, char** argv) {
     const bool stream = args.has("stream");
     const auto master_seed =
         static_cast<std::uint64_t>(args.get_int("master-seed", 1));
-    const auto threads = static_cast<unsigned>(args.get_int(
-        "threads", runtime::thread_pool::default_threads()));
+    const std::string threads_arg = args.get(
+        "threads", std::to_string(runtime::thread_pool::default_threads()));
+    const std::optional<unsigned> parsed_threads =
+        parse_thread_count(threads_arg);
+    if (!parsed_threads) {
+      std::cerr << "--threads must be an integer >= 1, got '" << threads_arg
+                << "'\n";
+      return 2;
+    }
+    const unsigned threads = *parsed_threads;
     const std::string out_path = args.get("out", "");
     const runtime::sink_format format =
         runtime::parse_format(args.get("format", "json"));
@@ -270,8 +282,7 @@ int main(int argc, char** argv) {
 
     // Checkpoint fingerprint: every flag that affects row bytes, and none
     // that are pure execution strategy (--threads, --shard-threads,
-    // --shard-balance, --shard-runner, --format) — resuming across those is
-    // the point.
+    // --format) — resuming across those is the point.
     std::optional<runtime::grid_checkpoint> ckpt;
     if (!ckpt_path.empty()) {
       std::ostringstream fp;

@@ -48,7 +48,7 @@ void excess_token_process::send_phase(node_id i0, node_id i1) {
   const graph& g = *g_;
   const std::uint64_t round_seed =
       derive_seed(draw_seed_, static_cast<std::uint64_t>(t_));
-  std::vector<incidence> scratch;  // per-shard; reused across its nodes
+  std::vector<incidence> scratch;  // per-chunk; reused across its nodes
   for (node_id i = i0; i < i1; ++i) {
     const weight_t xi = loads_[static_cast<size_t>(i)];
     if (xi == 0) continue;

@@ -112,7 +112,7 @@ void local_rounding_process::round_phase(const edge_slice& es) {
 }
 
 // Phase 2 (per node): apply the synchronous deltas by folding incident
-// edges (integer sums), tracking negativity per shard.
+// edges (integer sums), tracking negativity per chunk.
 local_rounding_process::negativity local_rounding_process::apply_phase(
     node_id i0, node_id i1) {
   const graph& g = *g_;

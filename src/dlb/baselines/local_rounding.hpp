@@ -117,8 +117,8 @@ class local_rounding_process final : public discrete_process,
   [[nodiscard]] const graph& shard_topology() const override { return *g_; }
 
  private:
-  // One round's phases; ranges are one shard's slice. The apply phase
-  // returns the shard's (negative-event count, min load) fold.
+  // One round's phases; ranges are one chunk. The apply phase returns the
+  // chunk's (negative-event count, min load) fold.
   struct negativity {
     std::int64_t events = 0;
     weight_t min_load = 0;

@@ -150,8 +150,8 @@ class algorithm1 final : public discrete_process,
     weight_t total = 0;
   };
 
-  // One round's phases; ranges are one shard's slice of edges/nodes. The
-  // send phase returns the shard's dummy-token mint count.
+  // One round's phases; ranges are one chunk of edges/nodes. The send
+  // phase returns the chunk's dummy-token mint count.
   void deficit_phase(const edge_slice& es);
   [[nodiscard]] weight_t send_phase(node_id i0, node_id i1);
   void receive_phase(node_id i0, node_id i1);

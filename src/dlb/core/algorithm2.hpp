@@ -121,8 +121,8 @@ class algorithm2 final : public discrete_process,
     bool from_u = false;
   };
 
-  // One round's phases; ranges are one shard's slice. The mint phase
-  // returns the shard's dummy mint count.
+  // One round's phases; ranges are one chunk. The mint phase returns the
+  // chunk's dummy mint count.
   void decide_phase(const edge_slice& es);
   [[nodiscard]] weight_t mint_phase(node_id i0, node_id i1);
   void apply_phase(node_id i0, node_id i1);

@@ -27,30 +27,21 @@ std::shared_ptr<const shard_context> sharding_of(
   return sh != nullptr ? sh->sharding() : nullptr;
 }
 
-// Total speed — an integer sum, so any grouping (sequential or per shard)
+// Total speed — an integer sum, so any grouping (sequential or per chunk)
 // is exact. Invariant across a run; measure_balancing_time computes it once
 // instead of per probe round.
 weight_t total_speed_of(const speed_vector& s, const shard_context* ctx) {
-  if (ctx == nullptr) {
-    weight_t total = 0;
-    for (const weight_t si : s) total += si;
-    return total;
-  }
-  const shard_plan& plan = ctx->plan;
-  std::vector<weight_t> part(plan.num_shards(), 0);
-  ctx->for_each_shard([&](std::size_t sh_i) {
+  const auto sum = [&s](std::size_t lo, std::size_t hi) {
     weight_t acc = 0;
-    for (node_id i = plan.node_begin(sh_i); i < plan.node_end(sh_i); ++i) {
-      acc += s[static_cast<size_t>(i)];
-    }
-    part[sh_i] = acc;
-  });
-  weight_t total = 0;
-  for (const weight_t p : part) total += p;
-  return total;
+    for (std::size_t i = lo; i < hi; ++i) acc += s[i];
+    return acc;
+  };
+  if (ctx == nullptr) return sum(0, s.size());
+  return fold_chunks(*ctx, s.size(), phase_chunk_items, weight_t{0}, sum,
+                     [](weight_t acc, weight_t part) { return acc + part; });
 }
 
-// The T^A membership test, shard-parallel when a context is given — what
+// The T^A membership test, chunk-parallel when a context is given — what
 // makes million-node *static* probes feasible: the O(n) load sum and the
 // O(n) per-node check both spread over the shard pool. Bit-equal to the
 // sequential path by construction: the sum goes through blocked_sum (whose
@@ -63,27 +54,17 @@ bool balanced_against(const continuous_process& a, weight_t total_speed,
   const real_t w = ctx == nullptr ? blocked_sum(x) : blocked_sum(x, *ctx);
   const real_t per_speed = w / static_cast<real_t>(total_speed);
 
-  const auto within = [&](node_id i0, node_id i1) {
-    for (node_id i = i0; i < i1; ++i) {
-      const std::size_t idx = static_cast<size_t>(i);
-      if (std::abs(x[idx] - per_speed * static_cast<real_t>(s[idx])) > tol) {
+  const auto within = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (std::abs(x[i] - per_speed * static_cast<real_t>(s[i])) > tol) {
         return 0;
       }
     }
     return 1;
   };
-  if (ctx == nullptr) {
-    return within(0, static_cast<node_id>(x.size())) != 0;
-  }
-  const shard_plan& plan = ctx->plan;
-  std::vector<int> ok(plan.num_shards(), 0);
-  ctx->for_each_shard([&](std::size_t sh_i) {
-    ok[sh_i] = within(plan.node_begin(sh_i), plan.node_end(sh_i));
-  });
-  for (const int flag : ok) {
-    if (flag == 0) return false;
-  }
-  return true;
+  if (ctx == nullptr) return within(0, x.size()) != 0;
+  return fold_chunks(*ctx, x.size(), phase_chunk_items, 1, within,
+                     [](int acc, int part) { return acc & part; }) != 0;
 }
 
 }  // namespace

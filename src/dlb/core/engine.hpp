@@ -43,7 +43,7 @@ inline constexpr real_t balanced_tolerance = 1.0;
                                real_t tol = balanced_tolerance);
 
 /// Max-min discrepancy of `d`'s current real loads. Uses the parallel
-/// per-shard min/max reduction when `d` steps sharded (the sequential
+/// chunked min/max reduction when `d` steps sharded (the sequential
 /// real_loads() path materializes an O(n) vector per round); the two paths
 /// are exactly equal — min/max folds are associative. Both run_dynamic and
 /// the event-driven run_async sample their per-round metrics through this.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <string>
 #include <utility>
 
 #include "dlb/common/contracts.hpp"
@@ -62,84 +61,78 @@ std::vector<edge_id> blocked_edge_order(const graph& g) {
   return order;
 }
 
-// Chunk count of a work-stealing phase over `total` items. At least one
-// chunk even for an empty range, so every phase still runs its barrier (and
-// reduce folds still see one part from body(0, 0), exactly like the static
-// path's empty slices).
-std::size_t chunk_count(std::size_t total) {
-  return std::max<std::size_t>(
-      1, (total + phase_chunk_items - 1) / phase_chunk_items);
+using chunk_fn =
+    std::function<void(std::size_t chunk, std::size_t lo, std::size_t hi)>;
+
+// The one claim loop. Runs slice over every chunk of the fixed grid on the
+// context's groups; group(g, drain) wraps each group's share, where drain()
+// runs the chunks that group claims and returns their item count (the hook
+// the phase instrumentation times). The pool-side steal primitive is used
+// when the context has one; otherwise the claim loop is synthesized over
+// the plain runner with a local cursor. This cursor and its thread_pool
+// twin are the blessed atomic work-distribution points (tools/dlb_lint.py,
+// "atomic-claim").
+void claim_chunks(
+    const shard_context& ctx, std::size_t total, std::size_t chunk_items,
+    const chunk_fn& slice,
+    const std::function<void(std::size_t group,
+                             const std::function<std::size_t()>& drain)>&
+        group) {
+  const std::size_t chunks = chunk_count(total, chunk_items);
+  const auto run_group = [&](std::size_t g,
+                             const std::function<std::size_t()>& claim) {
+    group(g, [&]() -> std::size_t {
+      std::size_t items = 0;
+      for (;;) {
+        const std::size_t c = claim();
+        if (c >= chunks) break;
+        const std::size_t lo = c * chunk_items;
+        const std::size_t hi = std::min(total, lo + chunk_items);
+        slice(c, lo, hi);
+        items += hi - lo;
+      }
+      return items;
+    });
+  };
+  if (ctx.steal != nullptr) {
+    ctx.steal(ctx.plan.num_shards(), chunks, run_group);
+    return;
+  }
+  std::atomic<std::size_t> cursor{0};
+  const std::function<std::size_t()> claim = [&cursor] {
+    return cursor.fetch_add(1, std::memory_order_relaxed);
+  };
+  ctx.for_each_shard([&](std::size_t g) { run_group(g, claim); });
 }
 
 }  // namespace
 
-shard_plan::shard_plan(const graph& g, std::size_t num_shards,
-                       shard_balance balance)
-    : n_(g.num_nodes()), m_(g.num_edges()), balance_(balance) {
+shard_plan::shard_plan(const graph& g, std::size_t num_shards)
+    : n_(g.num_nodes()),
+      m_(g.num_edges()),
+      // No more groups than nodes, and at least one so a plan always has a
+      // group to run phases on (an edgeless or empty graph included).
+      shards_(std::max<std::size_t>(
+          1, std::min<std::size_t>(num_shards,
+                                   static_cast<std::size_t>(n_)))),
+      edge_order_(blocked_edge_order(g)) {
   DLB_EXPECTS(num_shards >= 1);
-  edge_order_ = blocked_edge_order(g);
-  // No node-empty shards: the metric reduction folds one extremum per shard,
-  // and an empty range would contribute its sentinel. Edgeless graphs and
-  // num_shards > m are fine — edge ranges may be empty, the barrier still
-  // covers every shard — but the shard count itself is clamped to n (and
-  // stays >= 1 so a plan always has at least one shard to run phases on).
-  const std::size_t shards = std::max<std::size_t>(
-      1, std::min<std::size_t>(num_shards, static_cast<std::size_t>(n_)));
-  node_cut_.resize(shards + 1);
-  edge_cut_.resize(shards + 1);
-  for (std::size_t s = 0; s <= shards; ++s) {
-    edge_cut_[s] = static_cast<edge_id>(
-        static_cast<std::size_t>(m_) * s / shards);
-  }
-  if (balance == shard_balance::node_count || m_ == 0) {
-    for (std::size_t s = 0; s <= shards; ++s) {
-      node_cut_[s] = static_cast<node_id>(
-          static_cast<std::size_t>(n_) * s / shards);
-    }
+}
+
+std::size_t chunk_count(std::size_t total, std::size_t chunk_items) {
+  return std::max<std::size_t>(1, (total + chunk_items - 1) / chunk_items);
+}
+
+void for_each_chunk(const shard_context& ctx, std::size_t total,
+                    std::size_t chunk_items, const chunk_fn& slice) {
+  if (chunk_count(total, chunk_items) == 1) {
+    slice(0, 0, total);
     return;
   }
-  // Degree-weighted cut: place boundary s at the first node whose incident-
-  // degree prefix reaches s/shards of the total (2m), clamped so every shard
-  // keeps at least one node and enough nodes remain for the shards after it.
-  // Each boundary is a binary search over the prefix-degree array — plan
-  // build sits on every cell's setup path and the old linear scan showed up
-  // in --obs-profile on multi-million-node graphs. The clamp makes this
-  // exactly equivalent to that scan: the scan resumed from the previous
-  // *clamped* cut, and whenever the global search lands before it, both
-  // answers collapse to the same lower clamp bound.
-  std::vector<std::size_t> prefix(static_cast<std::size_t>(n_) + 1, 0);
-  for (node_id i = 0; i < n_; ++i) {
-    prefix[static_cast<std::size_t>(i) + 1] =
-        prefix[static_cast<std::size_t>(i)] +
-        static_cast<std::size_t>(g.degree(i));
-  }
-  const std::size_t total_degree = 2 * static_cast<std::size_t>(m_);
-  node_cut_[0] = 0;
-  node_cut_[shards] = n_;
-  for (std::size_t s = 1; s < shards; ++s) {
-    const std::size_t target = total_degree * s / shards;
-    const auto j = static_cast<node_id>(
-        std::lower_bound(prefix.begin(), prefix.end(), target) -
-        prefix.begin());
-    const node_id lo = node_cut_[s - 1] + 1;
-    const node_id hi =
-        n_ - static_cast<node_id>(shards - s);  // leave 1 node per later shard
-    node_cut_[s] = std::clamp(j, lo, hi);
-  }
-}
-
-shard_balance parse_shard_balance(const std::string& name) {
-  if (name == "nodes") return shard_balance::node_count;
-  if (name == "edges") return shard_balance::incident_edges;
-  throw contract_violation("unknown shard balance: " + name +
-                           " (expected nodes or edges)");
-}
-
-shard_exec parse_shard_exec(const std::string& name) {
-  if (name == "static") return shard_exec::static_slices;
-  if (name == "steal") return shard_exec::work_stealing;
-  throw contract_violation("unknown shard runner: " + name +
-                           " (expected static or steal)");
+  claim_chunks(ctx, total, chunk_items, slice,
+               [](std::size_t, const std::function<std::size_t()>& drain) {
+                 drain();
+               });
 }
 
 void sharded_stepper::enable_sharded_stepping(
@@ -172,12 +165,6 @@ const phase_labels& labels_of(int kind) {
 
 }  // namespace
 
-std::size_t sharded_stepper::reduce_slots() const {
-  const shard_plan& plan = shard_->plan;
-  if (shard_->exec != shard_exec::work_stealing) return plan.num_shards();
-  return chunk_count(static_cast<std::size_t>(plan.num_nodes()));
-}
-
 void sharded_stepper::for_each_slice(
     phase_kind kind,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& slice)
@@ -193,24 +180,23 @@ void sharded_stepper::for_each_slice(
   obs::metrics* met = probe_.met;
   obs::prof::profiler* prf = probe_.prf;
 
-  // Per-group instrumentation shared by both modes: one phase span per
-  // shard (static) or claim-loop group (stealing) — the span's shard slot
-  // carries the group index either way, so barrier share and skew analysis
-  // keep working unchanged. `work` runs the group's slices and returns the
-  // item count it processed; each group records its own end time, and once
-  // the runner returns (the barrier) everything after a group's finish is
-  // wait — synthesized below without any cross-thread signalling on the
-  // hot path.
+  // Per-group instrumentation: one phase span per claim-loop group — the
+  // span's shard slot carries the group index, so barrier share and skew
+  // analysis read it like a shard. `drain` runs the group's chunks and
+  // returns the item count it processed; each group records its own end
+  // time, and once the runner returns (the barrier) everything after a
+  // group's finish is wait — synthesized below without any cross-thread
+  // signalling on the hot path.
   std::vector<std::int64_t> end_ns(rec != nullptr ? shards : 0, 0);
-  const auto run_body = [&](std::size_t gidx,
-                            const std::function<std::size_t()>& work) {
-    // The counter read brackets exactly the group's slices, on the thread
+  const auto run_group = [&](std::size_t gidx,
+                             const std::function<std::size_t()>& drain) {
+    // The counter read brackets exactly the group's chunks, on the thread
     // that runs them — perf fds measure the calling thread, so the deltas
     // are this group's own cycles/misses, not the pool's.
     const obs::prof::hw_reading p0 =
         prf != nullptr ? prf->begin() : obs::prof::hw_reading{};
     if (rec == nullptr) {
-      work();
+      drain();
       if (prf != nullptr) {
         prf->complete(labels.span, static_cast<std::int32_t>(gidx),
                       probe_.cell, p0);
@@ -218,7 +204,7 @@ void sharded_stepper::for_each_slice(
       return;
     }
     const std::int64_t t0 = rec->now();
-    const std::size_t items = work();
+    const std::size_t items = drain();
     const std::int64_t t1 = rec->now();
     if (prf != nullptr) {
       prf->complete(labels.span, static_cast<std::int32_t>(gidx), probe_.cell,
@@ -228,58 +214,11 @@ void sharded_stepper::for_each_slice(
                   probe_.cell, static_cast<std::int64_t>(items));
     end_ns[gidx] = t1;
   };
-
-  if (shard_->exec == shard_exec::work_stealing) {
-    // Chunked dynamic execution: boundaries are a pure function of `total`
-    // (never the shard count), so which group claims a chunk can vary run
-    // to run while the computed bits cannot. The reduce slot is the chunk
-    // index — each chunk is claimed exactly once, so parts have a single
-    // writer and fold in a fixed ascending order.
-    const std::size_t chunks = chunk_count(total);
-    const auto group = [&](std::size_t g,
-                           const std::function<std::size_t()>& claim) {
-      run_body(g, [&]() -> std::size_t {
-        std::size_t items = 0;
-        for (;;) {
-          const std::size_t c = claim();
-          if (c >= chunks) break;
-          const std::size_t lo = c * phase_chunk_items;
-          const std::size_t hi = std::min(total, lo + phase_chunk_items);
-          slice(c, lo, hi);
-          items += hi - lo;
-        }
-        return items;
-      });
-    };
-    if (shard_->steal != nullptr) {
-      shard_->steal(shards, chunks, group);
-    } else {
-      // No pool-side steal primitive (serial test contexts): synthesize the
-      // claim loop over the plain runner. This cursor and its thread_pool
-      // twin are the blessed atomic work-distribution points
-      // (tools/dlb_lint.py, "atomic-claim").
-      std::atomic<std::size_t> cursor{0};
-      const std::function<std::size_t()> claim = [&cursor] {
-        return cursor.fetch_add(1, std::memory_order_relaxed);
-      };
-      shard_->for_each_shard([&](std::size_t g) { group(g, claim); });
-    }
-  } else {
-    shard_->for_each_shard([&](std::size_t s) {
-      run_body(s, [&]() -> std::size_t {
-        const auto [lo, hi] =
-            labels.edge_items
-                ? std::pair<std::size_t, std::size_t>(
-                      static_cast<std::size_t>(plan.edge_begin(s)),
-                      static_cast<std::size_t>(plan.edge_end(s)))
-                : std::pair<std::size_t, std::size_t>(
-                      static_cast<std::size_t>(plan.node_begin(s)),
-                      static_cast<std::size_t>(plan.node_end(s)));
-        slice(s, lo, hi);
-        return hi - lo;
-      });
-    });
-  }
+  // Chunk boundaries are a pure function of `total` (never the shard
+  // count), so which group claims a chunk can vary run to run while the
+  // computed bits cannot. Each chunk is claimed exactly once, so a reduce
+  // part indexed by chunk has a single writer and folds in a fixed order.
+  claim_chunks(*shard_, total, phase_chunk_items, slice, run_group);
 
   if (rec != nullptr) {
     const std::int64_t barrier_done = rec->now();
@@ -357,20 +296,22 @@ void sharded_stepper::node_phase(
 real_t sharded_max_min_discrepancy(const shardable& sh) {
   const std::shared_ptr<const shard_context> ctx = sh.sharding();
   DLB_EXPECTS(ctx != nullptr);
-  const std::size_t shards = ctx->plan.num_shards();
-  std::vector<real_t> lo(shards, 1e300);
-  std::vector<real_t> hi(shards, -1e300);
-  ctx->for_each_shard([&](std::size_t s) {
-    sh.real_load_extrema(ctx->plan.node_begin(s), ctx->plan.node_end(s),
-                         lo[s], hi[s]);
-  });
-  real_t min_span = 1e300;
-  real_t max_span = -1e300;
-  for (std::size_t s = 0; s < shards; ++s) {
-    min_span = std::min(min_span, lo[s]);
-    max_span = std::max(max_span, hi[s]);
-  }
-  return max_span - min_span;
+  using extrema = std::pair<real_t, real_t>;  // (min, max)
+  const extrema span = fold_chunks(
+      *ctx, static_cast<std::size_t>(ctx->plan.num_nodes()),
+      phase_chunk_items, extrema{1e300, -1e300},
+      [&](std::size_t lo, std::size_t hi) {
+        extrema part{1e300, -1e300};
+        sh.real_load_extrema(static_cast<node_id>(lo),
+                             static_cast<node_id>(hi), part.first,
+                             part.second);
+        return part;
+      },
+      [](const extrema& acc, const extrema& part) {
+        return extrema{std::min(acc.first, part.first),
+                       std::max(acc.second, part.second)};
+      });
+  return span.second - span.first;
 }
 
 void per_speed_extrema(const std::vector<weight_t>& loads,
@@ -407,23 +348,12 @@ real_t blocked_sum(const std::vector<real_t>& x) {
 }
 
 real_t blocked_sum(const std::vector<real_t>& x, const shard_context& ctx) {
-  const std::size_t blocks = (x.size() + sum_block - 1) / sum_block;
-  if (blocks <= 1) return blocked_sum(x);
-  // Shards own contiguous *block* ranges (not plan node ranges — block
-  // boundaries must be independent of the cut so the grouping never moves).
-  const std::size_t shards = ctx.plan.num_shards();
-  std::vector<real_t> partial(blocks, 0);
-  ctx.for_each_shard([&](std::size_t s) {
-    const std::size_t b0 = blocks * s / shards;
-    const std::size_t b1 = blocks * (s + 1) / shards;
-    for (std::size_t b = b0; b < b1; ++b) {
-      partial[b] = sum_range(x, b * sum_block,
-                             std::min(x.size(), (b + 1) * sum_block));
-    }
-  });
-  real_t acc = 0;
-  for (const real_t p : partial) acc += p;
-  return acc;
+  // The sum blocks are the chunk grid, so the grouping is the sequential
+  // overload's exactly: partial sums per block, added in block order.
+  return fold_chunks(
+      ctx, x.size(), sum_block, real_t{0},
+      [&](std::size_t lo, std::size_t hi) { return sum_range(x, lo, hi); },
+      [](real_t acc, real_t part) { return acc + part; });
 }
 
 }  // namespace dlb

@@ -3,40 +3,38 @@
 // The paper's processes are synchronous per-round maps over all nodes, so one
 // round decomposes into embarrassingly parallel per-edge and per-node phases
 // separated by barriers (compute flows → apply flows; allocate send sets →
-// deliver).  A `shard_plan` partitions the nodes and edges of one graph into
-// contiguous ranges; a `shard_context` couples the plan with a `shard_runner`
-// (typically a dlb::runtime::thread_pool) that executes one body per shard
-// and blocks until all shards finish — the barrier.
+// deliver).  A `shard_context` couples a `shard_plan` (the graph's size, the
+// number of claim-loop groups, and a cache-locality edge layout) with the
+// runners (typically a dlb::runtime::thread_pool) that execute one body per
+// group and block until all finish — the barrier.
 //
 // `sharded_stepper` is the shared protocol every process in the repo steps
 // through: derived classes express their round as edge_phase()/node_phase()
 // calls (plus node_phase_reduce for order-independent per-slot folds), and
-// the base runs them over the full range when sequential or slice-by-slice
+// the base runs them over the full range when sequential or chunk-by-chunk
 // when a context is installed — same bits either way.
 //
-// Two execution modes (shard_exec) share that protocol:
-//  * static_slices — one contiguous slice per shard, the plan's cuts. Cost
-//    skew shows up as barrier wait: every fast shard idles until the slowest
-//    finishes.
-//  * work_stealing — each phase's range is split into fixed-size chunks
-//    (phase_chunk_items each; boundaries a pure function of the item count,
-//    NEVER of the shard count) and `num_shards` claim-loop groups pull chunk
-//    indices from one shared atomic cursor until the range drains. Irregular
-//    per-item cost no longer parks fast shards at the barrier — they steal
-//    the remaining chunks instead. The cursor lives in this translation unit
-//    (or in thread_pool::steal_loop, its runner-side twin); it is the one
-//    blessed fetch-based work-distribution point in the tree (tools/
-//    dlb_lint.py, rule "atomic-claim").
+// A sharded phase splits its range into fixed-size chunks (phase_chunk_items
+// each; boundaries a pure function of the item count, NEVER of the shard
+// count) and `num_shards` claim-loop groups pull chunk indices from one
+// shared atomic cursor until the range drains, so irregular per-item cost
+// never parks a fast group at the barrier — it takes the remaining chunks
+// instead. The engine's whole-vector reductions (discrepancy extrema, the
+// T^A probe's speed total, membership test, and blocked load sum) fold over
+// the same kind of fixed grid through for_each_chunk. The cursor lives in
+// this translation unit (or in thread_pool::steal_loop, its runner-side
+// twin); it is the one blessed fetch-based work-distribution point in the
+// tree (tools/dlb_lint.py, rule "atomic-claim").
 //
 // Determinism contract (docs/ARCHITECTURE.md, "Sharded stepping" and "Round
 // kernels & chunked execution"): a sharded step must be *bit-identical* to
-// the sequential step for any shard count, either balance cut, and either
-// execution mode. The phase decomposition guarantees this because
+// the sequential step for any shard count. The phase decomposition
+// guarantees this because
 //  * per-edge quantities (flows, cumulative-flow updates, deficits) are pure
-//    functions of the pre-round state — so both the partition into slices or
-//    chunks and the *visit order within* a slice are free, which is what
-//    lets a shard_plan install a cache-locality edge permutation
-//    (edge_order(), traversed through core/phase_slice.hpp),
+//    functions of the pre-round state — so both the partition into chunks
+//    and the *visit order within* a chunk are free, which is what lets a
+//    shard_plan install a cache-locality edge permutation (edge_order(),
+//    traversed through core/phase_slice.hpp),
 //  * per-node accumulators (load updates, outgoing sums, task pools) receive
 //    their contributions in ascending incident-edge order — exactly the order
 //    the sequential edge loop applies them, because graph adjacency lists are
@@ -44,11 +42,11 @@
 //  * randomized per-entity decisions draw from counter-based RNG streams
 //    (common/rng.hpp counter_rng), pure functions of (seed, entity, round),
 //    never from a shared sequential engine.
-// No floating-point sum is ever regrouped across shards; integer reductions
-// (dummy counters) and min/max reductions (discrepancy extrema) are
-// order-independent by construction, and the one floating-point total the
-// engine needs (the is_balanced load sum) goes through `blocked_sum`, whose
-// grouping is a pure function of the vector length — never the shard count.
+// No floating-point sum is ever regrouped by the shard count; integer
+// reductions (dummy counters) and min/max reductions (discrepancy extrema)
+// are order-independent by construction, and the one floating-point total
+// the engine needs (the is_balanced load sum) goes through `blocked_sum`,
+// whose grouping is a pure function of the vector length.
 #pragma once
 
 #include <cstddef>
@@ -84,18 +82,11 @@ using steal_runner = std::function<void(
                              const std::function<std::size_t()>& claim)>&
         body)>;
 
-/// What a shard_plan balances when cutting the node ranges.
-enum class shard_balance {
-  node_count,      ///< equal node counts per shard (the default)
-  incident_edges,  ///< equal incident-edge work per shard — the right cut
-                   ///< for skewed degree distributions (stars, rings of
-                   ///< cliques), where a count-balanced cut leaves one shard
-                   ///< holding most of the per-node edge folds
-};
-
-/// How a sharded phase distributes its range over the shards.
+/// How a sharded phase distributes its range. Nothing reads it: chunked
+/// work stealing is the only runner. The type is kept only so existing
+/// aggregate initializers of shard_context ({plan, run, exec, steal})
+/// still compile.
 enum class shard_exec {
-  static_slices,  ///< one plan slice per shard, no stealing
   work_stealing,  ///< fixed-size chunks claimed from a shared cursor
 };
 
@@ -107,44 +98,24 @@ enum class shard_exec {
 /// one claim amortizes over thousands of items.
 inline constexpr std::size_t phase_chunk_items = 16384;
 
-/// Contiguous partition of one graph's nodes and edges into shards. Node and
-/// edge ranges are cut independently (per-edge phases are pure, so edge work
-/// need not align with node ownership); edge ranges are always balanced by
-/// count (per-edge work is uniform), node ranges by `balance` — the
-/// degree-weighted cut binary-searches a prefix-degree array, so plan build
-/// stays O(n + s·log n) even on multi-million-node graphs. The requested
-/// shard count is clamped so no shard is node-empty; edge ranges may be
-/// empty (a graph can have fewer edges than shards, or none at all) — empty
-/// ranges still participate in every phase barrier, they just do no work.
-///
-/// The plan also owns the cache-locality edge layout: a one-time pass blocks
-/// the edge ids by (u/B, v/B) so an edge phase streaming positions touches
-/// node slices a block at a time instead of scattering across the whole load
-/// vector. The permutation is stable by edge id within a block and is kept
-/// as an index map (edge_order()); graphs that are already local (everything
-/// under one block, e.g. every test-sized graph) detect the identity and
-/// keep the null layout, so their phases pay nothing.
+/// What a context needs to know about one graph: its node and edge counts
+/// (the item counts of node and edge phases), the number of claim-loop
+/// groups — the requested shard count clamped to [1, n] — and the
+/// cache-locality edge layout. A one-time pass blocks the edge ids by
+/// (u/B, v/B) so an edge phase streaming positions touches node slices a
+/// block at a time instead of scattering across the whole load vector. The
+/// permutation is stable by edge id within a block and is kept as an index
+/// map (edge_order()); graphs that are already local (everything under one
+/// block, e.g. every test-sized graph) detect the identity and keep the
+/// null layout, so their phases pay nothing.
 class shard_plan {
  public:
   shard_plan() = default;
-  shard_plan(const graph& g, std::size_t num_shards,
-             shard_balance balance = shard_balance::node_count);
+  shard_plan(const graph& g, std::size_t num_shards);
 
-  [[nodiscard]] std::size_t num_shards() const noexcept {
-    return node_cut_.empty() ? 0 : node_cut_.size() - 1;
-  }
+  [[nodiscard]] std::size_t num_shards() const noexcept { return shards_; }
   [[nodiscard]] node_id num_nodes() const noexcept { return n_; }
   [[nodiscard]] edge_id num_edges() const noexcept { return m_; }
-  [[nodiscard]] shard_balance balance() const noexcept { return balance_; }
-
-  [[nodiscard]] node_id node_begin(std::size_t s) const { return node_cut_[s]; }
-  [[nodiscard]] node_id node_end(std::size_t s) const {
-    return node_cut_[s + 1];
-  }
-  [[nodiscard]] edge_id edge_begin(std::size_t s) const { return edge_cut_[s]; }
-  [[nodiscard]] edge_id edge_end(std::size_t s) const {
-    return edge_cut_[s + 1];
-  }
 
   /// The edge-visit permutation (position → edge id), or nullptr when the
   /// identity layout was kept. Edge phases traverse positions through this
@@ -157,19 +128,9 @@ class shard_plan {
  private:
   node_id n_ = 0;
   edge_id m_ = 0;
-  shard_balance balance_ = shard_balance::node_count;
-  std::vector<node_id> node_cut_;  // size num_shards+1, ascending
-  std::vector<edge_id> edge_cut_;  // size num_shards+1, ascending
+  std::size_t shards_ = 0;
   std::vector<edge_id> edge_order_;  // empty = identity layout
 };
-
-/// Parses "nodes" / "edges" (the `--shard-balance` CLI values); throws
-/// contract_violation on anything else.
-[[nodiscard]] shard_balance parse_shard_balance(const std::string& name);
-
-/// Parses "static" / "steal" (the `--shard-runner` CLI values); throws
-/// contract_violation on anything else.
-[[nodiscard]] shard_exec parse_shard_exec(const std::string& name);
 
 /// A plan plus the runner that executes its shards. One context is built per
 /// experiment cell (outside the timed engine call) and shared by the discrete
@@ -177,13 +138,11 @@ class shard_plan {
 struct shard_context {
   shard_plan plan;
   shard_runner run;
-  /// Execution mode of the phases stepped under this context. A pure
-  /// execution knob: rows are byte-identical in either mode.
+  /// Unread; see shard_exec.
   shard_exec exec = shard_exec::work_stealing;
-  /// The work-stealing claim loop. Optional: when null, work_stealing
-  /// phases synthesize the claim loop over `run` with a local cursor —
-  /// equivalent bits, just without the pool-side primitive (serial test
-  /// contexts use this path).
+  /// The claim loop. Optional: when null, phases synthesize the claim loop
+  /// over `run` with a local cursor — equivalent bits, just without the
+  /// pool-side primitive (serial test contexts use this path).
   steal_runner steal = nullptr;
 
   /// Runs fn(shard) for every shard and waits for all — one barrier phase.
@@ -191,6 +150,42 @@ struct shard_context {
     run(plan.num_shards(), fn);
   }
 };
+
+/// Chunk count of the fixed grid over `total` items, `chunk_items` each: at
+/// least one chunk even for an empty range, so every phase still runs its
+/// barrier and every fold sees one part.
+[[nodiscard]] std::size_t chunk_count(std::size_t total,
+                                      std::size_t chunk_items);
+
+/// Runs slice(chunk, lo, hi) once for every chunk [lo, hi) of the fixed
+/// grid over [0, total), claimed by the context's groups through the one
+/// claim loop, and returns when all chunks ran (the barrier). Which group
+/// runs a chunk varies run to run; the chunks themselves never do. A
+/// single-chunk grid runs inline on the calling thread.
+void for_each_chunk(
+    const shard_context& ctx, std::size_t total, std::size_t chunk_items,
+    const std::function<void(std::size_t chunk, std::size_t lo,
+                             std::size_t hi)>& slice);
+
+/// Folds body(lo, hi) over the fixed chunk grid: one part per chunk, folded
+/// from `init` in ascending chunk order. The grouping depends on total and
+/// chunk_items only, so for an order-free fold (min/max, integer sum, AND)
+/// the result equals fold(init, body(0, total)) bit for bit.
+template <typename T, typename Body, typename Fold>
+T fold_chunks(const shard_context& ctx, std::size_t total,
+              std::size_t chunk_items, T init, const Body& body, Fold fold) {
+  static_assert(!std::is_same_v<T, bool>,
+                "use int: vector<bool> bit-packs, and concurrent per-chunk "
+                "writes to one word would race");
+  std::vector<T> parts(chunk_count(total, chunk_items), init);
+  for_each_chunk(ctx, total, chunk_items,
+                 [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                   parts[c] = body(lo, hi);
+                 });
+  T acc = init;
+  for (const T& part : parts) acc = fold(acc, part);
+  return acc;
+}
 
 /// Mixin for processes that support two-phase sharded stepping. Enabling is
 /// a pure execution-strategy switch: all observable state (loads, flows,
@@ -218,9 +213,8 @@ class shardable {
 /// The shared protocol base: implements the `shardable` plumbing once and
 /// gives derived processes the three phase primitives their step() is built
 /// from. With no context installed every phase runs over the full range on
-/// the calling thread; with one, each phase runs slice-by-slice (static
-/// plan slices or stolen chunks, per the context's exec mode) and the
-/// runner's completion is the barrier. Derived classes only have to uphold
+/// the calling thread; with one, each phase runs chunk by chunk through the
+/// claim loop and the runner's completion is the barrier. Derived classes only have to uphold
 /// the phase purity rules in the header comment above — the "make your
 /// process shardable" guide in docs/ARCHITECTURE.md walks through a port.
 class sharded_stepper : public shardable {
@@ -233,9 +227,9 @@ class sharded_stepper : public shardable {
   }
 
   /// Attaches an observability probe: every phase then emits one span per
-  /// shard (or per claim-loop group under work stealing — the span's shard
-  /// slot carries the group index, so barrier-wait share and skew stay
-  /// attributable) plus a barrier-wait span each, and bumps the probe's
+  /// claim-loop group (the span's shard slot carries the group index, so
+  /// barrier-wait share and skew stay attributable) plus a barrier-wait span
+  /// each, and bumps the probe's
   /// metrics counters. Pure observation — stepping stays bit-identical
   /// (obs/probe.hpp). A default probe detaches.
   void set_probe(const obs::probe& pb) {
@@ -278,18 +272,17 @@ class sharded_stepper : public shardable {
   /// fold incident edges in ascending edge-id order.
   void node_phase(const std::function<void(node_id, node_id)>& body) const;
 
-  /// Node phase folding one value per slice (shard or chunk) into an
-  /// order-independent reduction (integer sums, min/max, boolean OR — never
-  /// a float sum). `init` is the fold identity. Partial values are folded
-  /// in ascending slice order, but the grouping differs between execution
-  /// modes (per-shard slices vs per-chunk), so order independence is what
-  /// keeps static, stealing, and sequential results bit-equal.
+  /// Node phase folding one value per chunk into an order-independent
+  /// reduction (integer sums, min/max, boolean OR — never a float sum).
+  /// `init` is the fold identity. Partial values are folded in ascending
+  /// chunk order, but the sequential path folds one part for the whole
+  /// range, so order independence is what keeps the two bit-equal.
   template <typename T, typename Fold>
   T node_phase_reduce(T init,
                       const std::function<T(node_id, node_id)>& body,
                       Fold fold) const {
     static_assert(!std::is_same_v<T, bool>,
-                  "use int: vector<bool> bit-packs, and concurrent per-shard "
+                  "use int: vector<bool> bit-packs, and concurrent per-chunk "
                   "writes to one word would race");
     if (shard_ == nullptr) {
       const node_id n = shard_topology().num_nodes();
@@ -297,10 +290,13 @@ class sharded_stepper : public shardable {
                             static_cast<std::size_t>(n));
       return fold(init, body(0, n));
     }
-    std::vector<T> parts(reduce_slots(), init);
+    std::vector<T> parts(
+        chunk_count(static_cast<std::size_t>(shard_->plan.num_nodes()),
+                    phase_chunk_items),
+        init);
     for_each_slice(phase_kind::reduce,
-                   [&](std::size_t slot, std::size_t lo, std::size_t hi) {
-                     parts[slot] = body(static_cast<node_id>(lo),
+                   [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                     parts[c] = body(static_cast<node_id>(lo),
                                         static_cast<node_id>(hi));
                    });
     T acc = init;
@@ -313,23 +309,15 @@ class sharded_stepper : public shardable {
   /// whether ranges cut edges or nodes.
   enum class phase_kind { edge, node, reduce };
 
-  /// Shared sharded loop of the three phase primitives: runs slice(slot,
-  /// lo, hi) over the phase's range — one plan slice per shard (slot =
-  /// shard) under static_slices, one fixed-size chunk per call (slot =
-  /// chunk index) under work_stealing — emitting one phase span per shard
-  /// (or claim group) plus the per-shard barrier-wait spans and counter
-  /// bumps when a probe is attached. Requires shard_ != nullptr (the
-  /// sequential paths instrument inline via phase_span).
+  /// Shared sharded loop of the three phase primitives: runs slice(chunk,
+  /// lo, hi) once per fixed-size chunk of the phase's range, emitting one
+  /// phase span per claim group plus the per-group barrier-wait spans and
+  /// counter bumps when a probe is attached. Requires shard_ != nullptr
+  /// (the sequential paths instrument inline via phase_span).
   void for_each_slice(
       phase_kind kind,
-      const std::function<void(std::size_t slot, std::size_t lo,
+      const std::function<void(std::size_t chunk, std::size_t lo,
                                std::size_t hi)>& slice) const;
-
-  /// Number of reduction slots the active mode produces for a node phase:
-  /// the shard count (static) or the chunk count of n (stealing) — the
-  /// latter a pure function of n, so the grouping never moves with the
-  /// shard count.
-  [[nodiscard]] std::size_t reduce_slots() const;
 
   /// RAII instrumentation of a *sequential* full-range phase: no-op without
   /// a probe, otherwise one span (shard 0) plus the counter bump. Lets the
@@ -379,9 +367,9 @@ bool try_attach_probe(Process& p, const obs::probe& pb) {
   return false;
 }
 
-/// Max-min discrepancy of `sh`'s real loads via a parallel per-shard min/max
-/// reduction. Exactly equal to max_min_discrepancy(real_loads, speeds):
-/// min/max folds are associative, so the shard grouping cannot change the
+/// Max-min discrepancy of `sh`'s real loads via a parallel min/max fold over
+/// node chunks. Exactly equal to max_min_discrepancy(real_loads, speeds):
+/// min/max folds are associative, so the chunk grouping cannot change the
 /// result.
 [[nodiscard]] real_t sharded_max_min_discrepancy(const shardable& sh);
 

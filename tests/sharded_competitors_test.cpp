@@ -3,8 +3,8 @@
 // must step bit-identically at shard counts {1, 2, 8}, including pool
 // contents and RNG-driven decisions (counter-based streams make a draw a
 // pure function of (seed, entity, round), never of visit order). Plus the
-// shared-plan machinery itself: degree-weighted cuts, zero-edge/overshard
-// edge cases, the blocked load sum, and the sharded T^A probe.
+// shared-plan machinery itself: zero-edge/overshard edge cases, the blocked
+// load sum, and the sharded T^A probe.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -33,11 +33,10 @@ std::shared_ptr<const graph> make_g(graph g) {
   return std::make_shared<const graph>(std::move(g));
 }
 
-std::shared_ptr<const shard_context> serial_context(
-    const graph& g, std::size_t shards,
-    shard_balance balance = shard_balance::node_count) {
+std::shared_ptr<const shard_context> serial_context(const graph& g,
+                                                    std::size_t shards) {
   return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards, balance),
+      shard_plan(g, shards),
       [](std::size_t count, const std::function<void(std::size_t)>& body) {
         for (std::size_t i = 0; i < count; ++i) body(i);
       }});
@@ -242,6 +241,42 @@ TEST(ShardedBalanceProbeTest, IsBalancedEqualsSequentialEveryRound) {
   }
 }
 
+// Test-sized graphs fit one 16384-node chunk, where the engine's folds run
+// inline. A 40000-node cycle spans three chunks (and ten blocked_sum
+// blocks), so the discrepancy extrema and the T^A membership AND really
+// fold across chunks — with the one unbalanced node in the last chunk.
+TEST(ShardedBalanceProbeTest, ReductionsFoldAcrossSeveralChunks) {
+  const auto g = make_g(generators::cycle(40'000));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
+  const auto ctx = serial_context(*g, 4);
+
+  std::vector<real_t> x0(static_cast<std::size_t>(g->num_nodes()), 5.0);
+  auto sequential = make_fos(g, s, alpha);
+  auto sharded = make_fos(g, s, alpha);
+  sharded->enable_sharded_stepping(ctx);
+  sequential->reset(x0);
+  sharded->reset(x0);
+  EXPECT_TRUE(is_balanced(*sharded));
+  EXPECT_TRUE(is_balanced(*sequential));
+  x0.back() += 10.0;  // beyond balanced_tolerance
+  sequential->reset(x0);
+  sharded->reset(x0);
+  EXPECT_FALSE(is_balanced(*sharded));
+  EXPECT_FALSE(is_balanced(*sequential));
+
+  const auto tokens = workload::spike_workload(*g, s, 3);
+  algorithm1 reference(make_fos(g, s, alpha), task_assignment::tokens(tokens));
+  algorithm1 chunked(make_fos(g, s, alpha), task_assignment::tokens(tokens));
+  chunked.enable_sharded_stepping(ctx);
+  for (int t = 0; t < 5; ++t) {
+    ASSERT_EQ(round_discrepancy(chunked), round_discrepancy(reference))
+        << "round " << t;
+    reference.step();
+    chunked.step();
+  }
+}
+
 TEST(ShardedBalanceProbeTest, MeasureBalancingTimeMatchesSequential) {
   const auto g = make_g(generators::hypercube(6));
   const speed_vector s = uniform_speeds(g->num_nodes());
@@ -288,81 +323,56 @@ TEST(BlockedSumTest, ShortVectorsAreThePlainLeftToRightSum) {
   EXPECT_EQ(blocked_sum(x), plain);
 }
 
-// ------------------------------------------------- plan cuts & edge cases
+// ------------------------------------------------------ plan edge cases
 
-TEST(ShardPlanCutsTest, DegreeWeightedCutIsolatesTheHub) {
-  // star: node 0 carries half the incident degree; the edge-balanced cut
-  // must not lump it with a quarter of the leaves like the count cut does.
-  const auto g = generators::star(33);
-  const shard_plan plan(g, 4, shard_balance::incident_edges);
-  ASSERT_EQ(plan.num_shards(), 4u);
-  EXPECT_EQ(plan.node_begin(0), 0);
-  EXPECT_EQ(plan.node_end(0), 1) << "hub should fill its shard alone";
-  EXPECT_EQ(plan.node_end(plan.num_shards() - 1), g.num_nodes());
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    EXPECT_LT(plan.node_begin(s), plan.node_end(s)) << "empty node shard";
-    if (s + 1 < plan.num_shards()) {
-      EXPECT_EQ(plan.node_end(s), plan.node_begin(s + 1));
-    }
+// A sharded_stepper with no state of its own: exposes edge_phase so a test
+// can watch how a phase is split and barriered.
+class edge_phase_probe final : public sharded_stepper {
+ public:
+  explicit edge_phase_probe(const graph& g) : g_(g) {}
+  void real_load_extrema(node_id, node_id, real_t&, real_t&) const override {}
+  void run(const std::function<void(const edge_slice&)>& body) const {
+    edge_phase(body);
   }
-}
 
-TEST(ShardPlanCutsTest, DegreeWeightedResultsEqualUniformResults) {
-  const auto g = make_g(generators::star(25));
-  const speed_vector s = uniform_speeds(g->num_nodes());
-  const auto alpha = make_alphas(*g, alpha_scheme::half_max_degree);
-  const auto tokens = workload::spike_workload(*g, s, 10);
+ protected:
+  [[nodiscard]] const graph& shard_topology() const override { return g_; }
 
-  algorithm1 reference(make_fos(g, s, alpha), task_assignment::tokens(tokens));
-  algorithm1 uniform_cut(make_fos(g, s, alpha),
-                         task_assignment::tokens(tokens));
-  algorithm1 degree_cut(make_fos(g, s, alpha),
-                        task_assignment::tokens(tokens));
-  uniform_cut.enable_sharded_stepping(
-      serial_context(*g, 4, shard_balance::node_count));
-  degree_cut.enable_sharded_stepping(
-      serial_context(*g, 4, shard_balance::incident_edges));
-  for (int t = 0; t < 30; ++t) {
-    reference.step();
-    uniform_cut.step();
-    degree_cut.step();
-    ASSERT_EQ(uniform_cut.loads(), reference.loads()) << "round " << t;
-    ASSERT_EQ(degree_cut.loads(), reference.loads()) << "round " << t;
-  }
-}
-
-TEST(ShardPlanCutsTest, ParsesBalanceNames) {
-  EXPECT_EQ(parse_shard_balance("nodes"), shard_balance::node_count);
-  EXPECT_EQ(parse_shard_balance("edges"), shard_balance::incident_edges);
-  EXPECT_THROW((void)parse_shard_balance("degree"), contract_violation);
-}
+ private:
+  const graph& g_;
+};
 
 TEST(ShardPlanEdgeCasesTest, ZeroEdgeGraphKeepsEveryShardInTheBarrier) {
   const graph g(6, {});
-  for (const shard_balance b :
-       {shard_balance::node_count, shard_balance::incident_edges}) {
-    const shard_plan plan(g, 4, b);
-    ASSERT_EQ(plan.num_shards(), 4u);
-    EXPECT_EQ(plan.node_end(3), 6);
-    std::size_t barriers = 0;
-    const shard_context ctx{
-        plan, [&](std::size_t count,
-                  const std::function<void(std::size_t)>& body) {
-          for (std::size_t i = 0; i < count; ++i) body(i);
-          ++barriers;
-        }};
-    ctx.for_each_shard([&](std::size_t s) {
-      EXPECT_EQ(plan.edge_begin(s), plan.edge_end(s));
-    });
-    EXPECT_EQ(barriers, 1u) << "the phase barrier must still run";
-  }
+  const shard_plan plan(g, 4);
+  ASSERT_EQ(plan.num_shards(), 4u);
+  std::size_t barriers = 0;
+  std::size_t groups = 0;
+  auto ctx = std::make_shared<const shard_context>(shard_context{
+      plan, [&](std::size_t count,
+                const std::function<void(std::size_t)>& body) {
+        for (std::size_t i = 0; i < count; ++i) {
+          ++groups;
+          body(i);
+        }
+        ++barriers;
+      }});
+  edge_phase_probe probe(g);
+  probe.enable_sharded_stepping(ctx);
+  std::size_t calls = 0;
+  probe.run([&](const edge_slice& slice) {
+    ++calls;
+    EXPECT_TRUE(slice.empty());
+  });
+  EXPECT_EQ(calls, 1u) << "one empty chunk, visited once";
+  EXPECT_EQ(groups, 4u) << "every group takes part in the phase";
+  EXPECT_EQ(barriers, 1u) << "the phase barrier must still run";
 }
 
 TEST(ShardPlanEdgeCasesTest, MoreShardsThanEdgesIsFine) {
   const auto g = make_g(generators::path(5));  // n=5, m=4
   const shard_plan plan(*g, 8);
   EXPECT_EQ(plan.num_shards(), 5u);  // clamped to n, not m
-  EXPECT_EQ(plan.edge_end(plan.num_shards() - 1), g->num_edges());
 
   // And stepping over such a plan is still exact.
   const speed_vector s = uniform_speeds(g->num_nodes());
@@ -382,8 +392,6 @@ TEST(ShardPlanEdgeCasesTest, SingleNodeGraphClampsToOneShard) {
   const graph g(1, {});
   const shard_plan plan(g, 8);
   EXPECT_EQ(plan.num_shards(), 1u);
-  EXPECT_EQ(plan.node_begin(0), 0);
-  EXPECT_EQ(plan.node_end(0), 1);
 }
 
 }  // namespace

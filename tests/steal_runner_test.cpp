@@ -1,11 +1,11 @@
 // The work-stealing phase runner: chunked dynamic execution must be a pure
 // execution strategy. Every competitor steps bit-identically under the steal
 // runner on a *real* thread pool at shard-threads {1, 2, 8} (with mid-run
-// arrivals), steal and static rows match each other, the sharded α-schedule
-// fill of the matching models reproduces the sequential alphas() bits, the
-// cache-locality edge layout is a key-sorted permutation (identity on
-// test-sized graphs), and — the point of stealing — a seeded-skew phase
-// leaves far less barrier wait behind than the static runner.
+// arrivals) and through the synthesized (pool-less) claim loop, the sharded
+// α-schedule fill of the matching models reproduces the sequential alphas()
+// bits, the cache-locality edge layout is a key-sorted permutation (identity
+// on test-sized graphs), and — the point of stealing — a seeded-skew phase
+// does not park the shard threads at the barrier.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dlb/baselines/excess_tokens.hpp"
@@ -42,28 +43,27 @@ std::shared_ptr<const graph> make_g(graph g) {
 }
 
 /// A context backed by a real thread pool (kept alive by the runner
-/// closures), in either execution mode — the production wiring of
-/// runtime/experiment_grid.cpp in miniature.
-std::shared_ptr<const shard_context> pool_context(
-    const graph& g, std::size_t shards, shard_exec exec,
-    shard_balance balance = shard_balance::node_count) {
+/// closures) — the production wiring of runtime/experiment_grid.cpp in
+/// miniature.
+std::shared_ptr<const shard_context> pool_context(const graph& g,
+                                                  std::size_t shards) {
   auto pool =
       std::make_shared<runtime::thread_pool>(static_cast<unsigned>(shards));
   return std::make_shared<const shard_context>(shard_context{
-      shard_plan(g, shards, balance),
+      shard_plan(g, shards),
       [pool](std::size_t count,
              const std::function<void(std::size_t)>& body) {
         pool->parallel_for_each(count, body);
       },
-      exec,
+      shard_exec::work_stealing,
       [pool](std::size_t groups, std::size_t chunks,
              const std::function<void(std::size_t,
                                       const std::function<std::size_t()>&)>&
                  body) { pool->steal_loop(groups, chunks, body); }});
 }
 
-/// A serial single-thread context in steal mode: exercises the synthesized
-/// claim loop (no pool-side primitive attached).
+/// A serial single-thread context: exercises the synthesized claim loop (no
+/// pool-side primitive attached).
 std::shared_ptr<const shard_context> serial_steal_context(const graph& g,
                                                           std::size_t shards) {
   return std::make_shared<const shard_context>(shard_context{
@@ -164,8 +164,7 @@ TEST_P(StealRunnerCompetitorsTest, BitIdenticalOnRealPoolAt128) {
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
     const auto stolen = GetParam().build(g, s, tokens, seed);
-    ASSERT_TRUE(try_enable_sharding(
-        *stolen, pool_context(*g, shards, shard_exec::work_stealing)))
+    ASSERT_TRUE(try_enable_sharding(*stolen, pool_context(*g, shards)))
         << GetParam().name << " is not shardable";
     std::size_t checkpoint = 0;
     for (int t = 0; t < 40; ++t) {
@@ -182,29 +181,26 @@ TEST_P(StealRunnerCompetitorsTest, BitIdenticalOnRealPoolAt128) {
   }
 }
 
-// Static and steal runners must agree with each other round for round —
-// including through the synthesized (pool-less) claim loop.
-TEST_P(StealRunnerCompetitorsTest, StaticStealAndSynthesizedRowsMatch) {
+// The pool's steal primitive and the synthesized (pool-less) claim loop must
+// both match the sequential run round for round.
+TEST_P(StealRunnerCompetitorsTest, StealAndSynthesizedRowsMatchSequential) {
   const auto g = make_g(generators::torus_2d(6));
   const speed_vector s = uniform_speeds(g->num_nodes());
   const auto tokens = workload::spike_workload(*g, s, /*spike_per_node=*/8);
   constexpr std::uint64_t seed = 7;
 
-  const auto statics = GetParam().build(g, s, tokens, seed);
+  const auto sequential = GetParam().build(g, s, tokens, seed);
   const auto stolen = GetParam().build(g, s, tokens, seed);
   const auto synthesized = GetParam().build(g, s, tokens, seed);
-  ASSERT_TRUE(try_enable_sharding(
-      *statics, pool_context(*g, 4, shard_exec::static_slices)));
-  ASSERT_TRUE(try_enable_sharding(
-      *stolen, pool_context(*g, 4, shard_exec::work_stealing)));
+  ASSERT_TRUE(try_enable_sharding(*stolen, pool_context(*g, 4)));
   ASSERT_TRUE(try_enable_sharding(*synthesized, serial_steal_context(*g, 4)));
   for (int t = 0; t < 30; ++t) {
-    statics->step();
+    sequential->step();
     stolen->step();
     synthesized->step();
-    ASSERT_EQ(stolen->loads(), statics->loads())
+    ASSERT_EQ(stolen->loads(), sequential->loads())
         << GetParam().name << " diverged at round " << t;
-    ASSERT_EQ(synthesized->loads(), statics->loads())
+    ASSERT_EQ(synthesized->loads(), sequential->loads())
         << GetParam().name << " (synthesized) diverged at round " << t;
   }
 }
@@ -233,8 +229,7 @@ TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
                             const std::string& label) {
     auto sequential = build();
     auto stolen = build();
-    stolen->enable_sharded_stepping(
-        pool_context(*g, 4, shard_exec::work_stealing));
+    stolen->enable_sharded_stepping(pool_context(*g, 4));
     sequential->reset(x0);
     stolen->reset(x0);
     for (int t = 0; t < 50; ++t) {
@@ -303,18 +298,12 @@ TEST(EdgeLayoutTest, LargeGraphLayoutIsABlockSortedPermutation) {
   }
 }
 
-TEST(StealRunnerParseTest, ParsesExecNames) {
-  EXPECT_EQ(parse_shard_exec("static"), shard_exec::static_slices);
-  EXPECT_EQ(parse_shard_exec("steal"), shard_exec::work_stealing);
-  EXPECT_THROW((void)parse_shard_exec("dynamic"), contract_violation);
-}
-
 // ------------------------------------------------------- seeded-skew proof
 
 /// A stepper whose node phase is deliberately skewed: nodes in the first
-/// quarter of the range burn a spin loop, the rest are free. Under the
-/// static cut that entire cost lands on shard 0 of 4 and the other three
-/// shards wait at the barrier for it; under stealing they drain the heavy
+/// quarter of the range burn a spin loop, the rest are free. A static
+/// one-slice-per-shard cut would land that entire cost on shard 0 of 4 and
+/// park the other three at the barrier; under stealing they drain the heavy
 /// chunks instead.
 class skewed_stepper final : public sharded_stepper {
  public:
@@ -352,36 +341,37 @@ class skewed_stepper final : public sharded_stepper {
   std::atomic<unsigned> sink_{0};
 };
 
-std::uint64_t barrier_wait_of(shard_exec exec,
-                              const std::shared_ptr<const graph>& g) {
+/// Barrier-wait share of ten skewed rounds at 4 shards: barrier_wait_ns ÷
+/// (barrier_wait_ns + Σ node_phase span durations).
+double barrier_wait_share_of(const std::shared_ptr<const graph>& g) {
   obs::recorder rec;
   obs::metrics met;
   const std::uint64_t cell =
       rec.register_cell("skew", "cycle", "skewed_stepper", 0);
   skewed_stepper st(g);
-  st.enable_sharded_stepping(pool_context(*g, 4, exec));
+  st.enable_sharded_stepping(pool_context(*g, 4));
   st.set_probe(obs::probe{&rec, &met, cell});
   for (int t = 0; t < 10; ++t) st.run_round();
-  return met.take().counter("barrier_wait_ns");
+  const auto wait =
+      static_cast<double>(met.take().counter("barrier_wait_ns"));
+  double work = 0;
+  for (const obs::span_record& span : rec.events()) {
+    if (std::string_view(span.name) == "node_phase") {
+      work += static_cast<double>(span.dur_ns);
+    }
+  }
+  return wait / (wait + work);
 }
 
-TEST(SeededSkewTest, StealRunnerBeatsStaticBarrierWaitShare) {
+TEST(SeededSkewTest, SkewedWorkDoesNotParkShardThreads) {
   // 400k nodes → 25 chunks; the heavy quarter (100k nodes) spans chunks
-  // 0-6, so under stealing the four groups share the heavy chunks nearly
-  // evenly and the residual barrier wait is one chunk's granularity.
-  // Static parks three of four shards for the heavy shard's entire
-  // duration, so its wait is ~3x the whole heavy cost. The 2x margin
-  // absorbs scheduler noise (the structural ratio is far larger on any
-  // hardware, including a single timeshared core, because static
-  // fast-shard waits scale with the heavy shard's full duration).
+  // 0-6, so the four groups share the heavy chunks nearly evenly and the
+  // residual barrier wait is one chunk's granularity — a share around
+  // 0.15. A static one-slice-per-shard cut would park three of four shards
+  // for the heavy shard's whole duration: a share of 3/4.
   const auto g = make_g(generators::cycle(400'000));
-  const std::uint64_t wait_static =
-      barrier_wait_of(shard_exec::static_slices, g);
-  const std::uint64_t wait_steal =
-      barrier_wait_of(shard_exec::work_stealing, g);
-  ASSERT_GT(wait_static, 0u);
-  EXPECT_LT(wait_steal * 2, wait_static)
-      << "steal=" << wait_steal << "ns static=" << wait_static << "ns";
+  const double share = barrier_wait_share_of(g);
+  EXPECT_LT(share, 0.5) << "barrier-wait share " << share;
 }
 
 }  // namespace
