@@ -46,13 +46,13 @@
 //   --obs-summary-top  how many of the busiest worker tids the summary's
 //                 pool-utilization line names individually (default 8; the
 //                 rest fold into an explicit "+N more" aggregate)
-//   --obs-profile sample hardware counters (cycles, instructions, cache
-//                 refs/misses, branch misses) around every phase slice,
-//                 fold them with the per-shard spans into a skew report
-//                 (stderr table), and write the "dlb-profile-v1" JSON
-//                 sidecar. Falls back to wall-clock-only profiling where
-//                 perf_event_open is unavailable (one stderr notice).
-//                 Observation only: stdout rows stay byte-identical
+//   --obs-profile record hardware-counter deltas (cycles, instructions,
+//                 cache refs/misses, branch misses) on every span, fold the
+//                 per-shard spans into a skew report (stderr table), and
+//                 write the "dlb-profile-v2" JSON sidecar. Falls back to
+//                 wall-clock-only spans where perf_event_open is
+//                 unavailable (one stderr notice). Observation only:
+//                 stdout rows stay byte-identical
 //   --obs-profile-out  profile sidecar path (default dlb_profile.json;
 //                 implies --obs-profile)
 //   --obs-extras  append the deterministic obs counters (obs_tokens_moved,
@@ -249,17 +249,13 @@ int main(int argc, char** argv) {
     // One recorder per run: the cell pool, every cell's shard pool, and
     // every engine driver report into it; exporters read it after the pool
     // is idle. --obs-summary alone still records (it only skips the file).
-    // --obs-profile needs it too: the skew analyzer joins counter samples
-    // against the recorder's cell registry and barrier spans.
+    // --obs-profile turns its counters on: the skew analyzer folds the
+    // spans' counter deltas, cell registry and barrier spans.
     std::unique_ptr<obs::recorder> recorder;
     if (!trace_out.empty() || obs_summary || obs_profile) {
-      recorder = std::make_unique<obs::recorder>();
-    }
-    // Declared after the recorder and before the pools, so every pool (and
-    // with it every sampling thread) is gone before the profiler goes away.
-    std::unique_ptr<obs::prof::profiler> profiler;
-    if (obs_profile) {
-      profiler = std::make_unique<obs::prof::profiler>();
+      recorder = std::make_unique<obs::recorder>(
+          obs_profile ? obs::recorder::counters::on
+                      : obs::recorder::counters::off);
     }
 
     // Build every grid spec up front: an unknown grid name or bad config
@@ -275,7 +271,6 @@ int main(int argc, char** argv) {
         }
         specs.back().cost_hints = hints;
         specs.back().recorder = recorder.get();
-        specs.back().profiler = profiler.get();
         specs.back().obs_extras = obs_extras;
       }
     }
@@ -309,7 +304,6 @@ int main(int argc, char** argv) {
 
     runtime::thread_pool pool(threads);
     if (recorder != nullptr) pool.set_recorder(recorder.get());
-    if (profiler != nullptr) pool.set_profiler(profiler.get());
     // --out opens lazily: streaming must write as rows arrive, but the
     // buffered path opens (and truncates) only after every grid succeeded,
     // so a mid-run failure leaves a previous results file intact.
@@ -393,9 +387,9 @@ int main(int argc, char** argv) {
         sopts.top_tids = static_cast<std::size_t>(summary_top);
         obs::write_summary(std::cerr, *recorder, sopts);
       }
-      if (profiler != nullptr) {
+      if (obs_profile) {
         const obs::prof::profile_report report =
-            obs::prof::analyze_profile(*recorder, *profiler);
+            obs::prof::analyze_profile(*recorder);
         std::ofstream profile_file(profile_out);
         if (!profile_file) {
           std::cerr << "cannot open " << profile_out << "\n";

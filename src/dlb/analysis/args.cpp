@@ -57,11 +57,11 @@ void arg_map::parse(const std::vector<std::string>& tokens) {
       ++i;
       continue;
     }
-    insert_pair(body, "true");
+    insert_pair(body, std::nullopt);
   }
 }
 
-void arg_map::insert_pair(std::string key, std::string value) {
+void arg_map::insert_pair(std::string key, std::optional<std::string> value) {
   DLB_EXPECTS(!key.empty());
   DLB_EXPECTS(values_.find(key) == values_.end());
   values_.emplace(std::move(key), std::move(value));
@@ -73,41 +73,48 @@ bool arg_map::has(const std::string& key) const {
   return present;
 }
 
-std::string arg_map::get(const std::string& key,
-                         const std::string& fallback) const {
+const std::string* arg_map::value_of(const std::string& key) const {
   const auto it = values_.find(key);
   consumed_[key] = true;
-  return it == values_.end() ? fallback : it->second;
+  if (it == values_.end()) return nullptr;
+  if (!it->second) {
+    throw contract_violation("argument '" + key + "' needs a value");
+  }
+  return &*it->second;
+}
+
+std::string arg_map::get(const std::string& key,
+                         const std::string& fallback) const {
+  const std::string* value = value_of(key);
+  return value == nullptr ? fallback : *value;
 }
 
 std::int64_t arg_map::get_int(const std::string& key,
                               std::int64_t fallback) const {
-  const auto it = values_.find(key);
-  consumed_[key] = true;
-  if (it == values_.end()) return fallback;
+  const std::string* value = value_of(key);
+  if (value == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const std::int64_t v = std::stoll(it->second, &pos);
-    DLB_EXPECTS(pos == it->second.size());
+    const std::int64_t v = std::stoll(*value, &pos);
+    DLB_EXPECTS(pos == value->size());
     return v;
   } catch (const std::logic_error&) {
     throw contract_violation("argument '" + key + "' is not an integer: " +
-                             it->second);
+                             *value);
   }
 }
 
 double arg_map::get_real(const std::string& key, double fallback) const {
-  const auto it = values_.find(key);
-  consumed_[key] = true;
-  if (it == values_.end()) return fallback;
+  const std::string* value = value_of(key);
+  if (value == nullptr) return fallback;
   try {
     std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    DLB_EXPECTS(pos == it->second.size());
+    const double v = std::stod(*value, &pos);
+    DLB_EXPECTS(pos == value->size());
     return v;
   } catch (const std::logic_error&) {
     throw contract_violation("argument '" + key + "' is not a number: " +
-                             it->second);
+                             *value);
   }
 }
 

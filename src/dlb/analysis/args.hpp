@@ -4,6 +4,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,8 @@ namespace dlb::analysis {
 
 class arg_map {
  public:
-  /// Parses `key=value` tokens; bare tokens become flags with value "true".
+  /// Parses `key=value` tokens; bare tokens become flags that carry no
+  /// value (has() is true, the value getters throw).
   /// Dashed tokens are also accepted (`--key=value`, `--key value`, and
   /// `--flag`); leading dashes are stripped from the stored key, so
   /// `--master-seed 7` and `master-seed=7` are interchangeable. A dashed key
@@ -30,6 +32,9 @@ class arg_map {
   [[nodiscard]] bool has(const std::string& key) const;
 
   /// Value lookups with defaults; numeric getters throw on non-numeric text.
+  /// All three throw contract_violation ("argument 'k' needs a value") for
+  /// a key given as a bare flag, so `--out` alone never becomes a file
+  /// named "true".
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
@@ -42,9 +47,12 @@ class arg_map {
 
  private:
   void parse(const std::vector<std::string>& tokens);
-  void insert_pair(std::string key, std::string value);
+  void insert_pair(std::string key, std::optional<std::string> value);
 
-  std::map<std::string, std::string> values_;
+  /// Marks `key` consumed; nullptr when absent, throws when it is a bare flag.
+  [[nodiscard]] const std::string* value_of(const std::string& key) const;
+
+  std::map<std::string, std::optional<std::string>> values_;  // nullopt = bare
   mutable std::map<std::string, bool> consumed_;
 };
 

@@ -178,7 +178,6 @@ void sharded_stepper::for_each_slice(
 
   obs::recorder* rec = probe_.rec;
   obs::metrics* met = probe_.met;
-  obs::prof::profiler* prf = probe_.prf;
 
   // Per-group instrumentation: one phase span per claim-loop group — the
   // span's shard slot carries the group index, so barrier share and skew
@@ -190,29 +189,18 @@ void sharded_stepper::for_each_slice(
   std::vector<std::int64_t> end_ns(rec != nullptr ? shards : 0, 0);
   const auto run_group = [&](std::size_t gidx,
                              const std::function<std::size_t()>& drain) {
-    // The counter read brackets exactly the group's chunks, on the thread
-    // that runs them — perf fds measure the calling thread, so the deltas
-    // are this group's own cycles/misses, not the pool's.
-    const obs::prof::hw_reading p0 =
-        prf != nullptr ? prf->begin() : obs::prof::hw_reading{};
     if (rec == nullptr) {
       drain();
-      if (prf != nullptr) {
-        prf->complete(labels.span, static_cast<std::int32_t>(gidx),
-                      probe_.cell, p0);
-      }
       return;
     }
-    const std::int64_t t0 = rec->now();
+    // The span brackets exactly the group's chunks, on the thread that runs
+    // them — perf fds measure the calling thread, so a counters-on
+    // recorder's deltas are this group's own cycles/misses, not the pool's.
+    const obs::span_start start = rec->begin();
     const std::size_t items = drain();
-    const std::int64_t t1 = rec->now();
-    if (prf != nullptr) {
-      prf->complete(labels.span, static_cast<std::int32_t>(gidx), probe_.cell,
-                    p0);
-    }
-    rec->complete(labels.span, t0, t1 - t0, static_cast<std::int32_t>(gidx),
-                  probe_.cell, static_cast<std::int64_t>(items));
-    end_ns[gidx] = t1;
+    end_ns[gidx] = rec->end(labels.span, start,
+                            static_cast<std::int32_t>(gidx), probe_.cell,
+                            static_cast<std::int64_t>(items));
   };
   // Chunk boundaries are a pure function of `total` (never the shard
   // count), so which group claims a chunk can vary run to run while the
@@ -238,19 +226,14 @@ sharded_stepper::phase_span::phase_span(const sharded_stepper& st,
                                         phase_kind kind,
                                         std::size_t items) noexcept
     : st_(st), kind_(kind), items_(items) {
-  if (st_.probe_.prf != nullptr) prof_start_ = st_.probe_.prf->begin();
-  if (st_.probe_.rec != nullptr) start_ns_ = st_.probe_.rec->now();
+  if (st_.probe_.rec != nullptr) start_ = st_.probe_.rec->begin();
 }
 
 sharded_stepper::phase_span::~phase_span() {
   const phase_labels& labels = labels_of(static_cast<int>(kind_));
   if (obs::recorder* rec = st_.probe_.rec; rec != nullptr) {
-    rec->complete(labels.span, start_ns_, rec->now() - start_ns_,
-                  /*shard=*/0, st_.probe_.cell,
-                  static_cast<std::int64_t>(items_));
-  }
-  if (obs::prof::profiler* prf = st_.probe_.prf; prf != nullptr) {
-    prf->complete(labels.span, /*shard=*/0, st_.probe_.cell, prof_start_);
+    rec->end(labels.span, start_, /*shard=*/0, st_.probe_.cell,
+             static_cast<std::int64_t>(items_));
   }
   if (obs::metrics* met = st_.probe_.met; met != nullptr) {
     met->count_phase(labels.edge_items, items_);

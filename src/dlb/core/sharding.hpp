@@ -60,7 +60,7 @@
 #include "dlb/core/phase_slice.hpp"
 #include "dlb/graph/graph.hpp"
 #include "dlb/obs/probe.hpp"
-#include "dlb/obs/prof.hpp"
+#include "dlb/obs/recorder.hpp"
 
 namespace dlb {
 
@@ -334,8 +334,7 @@ class sharded_stepper : public shardable {
     const sharded_stepper& st_;
     phase_kind kind_;
     std::size_t items_;
-    std::int64_t start_ns_ = 0;
-    obs::prof::hw_reading prof_start_;  // counters at phase entry (if prf)
+    obs::span_start start_;  // clock (and counters) at phase entry
   };
 
   std::shared_ptr<const shard_context> shard_;  // null → sequential stepping

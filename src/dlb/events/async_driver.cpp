@@ -8,7 +8,6 @@
 #include "dlb/core/metrics.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/obs/metrics.hpp"
-#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 
 namespace dlb::events {
@@ -62,11 +61,9 @@ void async_run::prime() {
 }
 
 void async_run::dispatch(const event_queue::entry& e) {
-  const obs::prof::hw_reading p0 = opts_.probe.prf != nullptr
-                                       ? opts_.probe.prf->begin()
-                                       : obs::prof::hw_reading{};
-  const std::int64_t t0 =
-      opts_.probe.rec != nullptr ? opts_.probe.rec->now() : 0;
+  const obs::span_start start = opts_.probe.rec != nullptr
+                                    ? opts_.probe.rec->begin()
+                                    : obs::span_start{};
   switch (e.ev.kind) {
     case event_kind::arrival:
       d_->inject_tokens(e.ev.node, e.ev.count);
@@ -85,16 +82,10 @@ void async_run::dispatch(const event_queue::entry& e) {
       break;
     }
   }
-  if (opts_.probe.prf != nullptr) {
-    opts_.probe.prf->complete(
-        e.ev.kind == event_kind::arrival ? "event:arrival" : "event:service",
-        -1, opts_.probe.cell, p0);
-  }
   if (opts_.probe.rec != nullptr) {
-    opts_.probe.rec->complete(
+    opts_.probe.rec->end(
         e.ev.kind == event_kind::arrival ? "event:arrival" : "event:service",
-        t0, opts_.probe.rec->now() - t0, -1, opts_.probe.cell,
-        static_cast<std::int64_t>(e.ev.count));
+        start, -1, opts_.probe.cell, static_cast<std::int64_t>(e.ev.count));
   }
   if (opts_.probe.met != nullptr) {
     opts_.probe.met->add_event(queue_.size());
@@ -145,8 +136,6 @@ bool async_run::advance(const async_budget& budget,
     {
       const obs::scoped_span span(opts_.probe.rec, "round", -1,
                                   opts_.probe.cell);
-      const obs::prof::scoped_sample sample(opts_.probe.prf, "round", -1,
-                                            opts_.probe.cell);
       d_->step();
     }
     if (opts_.probe.met != nullptr) opts_.probe.met->add_round();

@@ -1,6 +1,7 @@
 #include "dlb/obs/export.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <iomanip>
 #include <map>
@@ -10,9 +11,7 @@
 
 namespace dlb::obs {
 
-namespace {
-
-void write_escaped(std::ostream& os, const std::string& text) {
+void write_json_string(std::ostream& os, const std::string& text) {
   os << '"';
   for (const char c : text) {
     switch (c) {
@@ -22,8 +21,9 @@ void write_escaped(std::ostream& os, const std::string& text) {
       case '\t': os << "\\t"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(c) << std::dec << std::setfill(' ');
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          os << buf;
         } else {
           os << c;
         }
@@ -31,6 +31,8 @@ void write_escaped(std::ostream& os, const std::string& text) {
   }
   os << '"';
 }
+
+namespace {
 
 /// Microseconds with sub-ns timestamps preserved (trace-event ts/dur unit).
 void write_us(std::ostream& os, std::int64_t ns) {
@@ -73,7 +75,7 @@ void write_chrome_trace(std::ostream& os, const recorder& rec) {
     if (!first) os << ",\n";
     first = false;
     os << "{\"ph\":\"X\",\"pid\":1,\"tid\":" << span.tid << ",\"name\":";
-    write_escaped(os, span.name);
+    write_json_string(os, span.name);
     os << ",\"cat\":\"dlb\",\"ts\":";
     write_us(os, span.ts_ns);
     os << ",\"dur\":";
@@ -103,11 +105,11 @@ void write_metrics_sidecar(std::ostream& os, const recorder& rec) {
     first = false;
     os << "{\"cell\":" << cell.id << ",\"grid_cell\":" << cell.index
        << ",\"grid\":";
-    write_escaped(os, cell.grid);
+    write_json_string(os, cell.grid);
     os << ",\"scenario\":";
-    write_escaped(os, cell.scenario);
+    write_json_string(os, cell.scenario);
     os << ",\"process\":";
-    write_escaped(os, cell.process);
+    write_json_string(os, cell.process);
     os << ",\"finished\":" << (cell.finished ? "true" : "false")
        << ",\"counters\":{";
     bool first_counter = true;

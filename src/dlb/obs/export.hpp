@@ -5,10 +5,15 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 #include "dlb/obs/recorder.hpp"
 
 namespace dlb::obs {
+
+/// Writes `text` as a quoted JSON string (quote, backslash and control
+/// characters escaped) — the one escaper every obs JSON writer uses.
+void write_json_string(std::ostream& os, const std::string& text);
 
 /// Chrome trace-event JSON: an object with a "traceEvents" array of complete
 /// ("ph":"X") events in microseconds. Loads in ui.perfetto.dev and

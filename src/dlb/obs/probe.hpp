@@ -3,7 +3,8 @@
 //
 // Everything in dlb::obs is strictly opt-in and must never perturb results:
 // instrumented code branches on the null pointers below and otherwise reads
-// only clocks and bumps relaxed atomics — it never touches RNG streams,
+// only clocks (and, on a counters-on recorder, hardware-counter fds) and
+// bumps relaxed atomics — it never touches RNG streams,
 // floating-point evaluation order, or any serialized row field. Rows are
 // byte-identical with a probe attached or not, at any thread or shard-thread
 // count (tests/obs_test.cpp enforces this).
@@ -16,26 +17,21 @@ namespace dlb::obs {
 class recorder;
 class metrics;
 
-namespace prof {
-class profiler;
-}
-
 /// Sentinel for spans not attributed to any experiment cell.
 inline constexpr std::uint64_t no_cell = ~std::uint64_t{0};
 
-/// Non-owning handles to the active recorder/metrics/profiler plus the cell
-/// id the spans should be attributed to. Default-constructed =
-/// observability off. `prf` sits after `cell` so the pre-profiler aggregate
-/// initializations ({rec, met, cell}) keep their meaning.
+/// Non-owning handles to the active recorder and metrics plus the cell id
+/// the spans should be attributed to. Default-constructed = observability
+/// off. Hardware-counter deltas ride on the recorder's spans
+/// (recorder::counters::on).
 struct probe {
   recorder* rec = nullptr;  ///< span sink, or nullptr (no tracing)
   metrics* met = nullptr;   ///< counter sink, or nullptr (no counting)
   std::uint64_t cell = no_cell;  ///< recorder cell id (recorder::register_cell)
-  prof::profiler* prf = nullptr;  ///< hw-counter sink, or nullptr (no prof)
 
   /// True when any sink is attached — the single branch disabled paths take.
   [[nodiscard]] bool active() const noexcept {
-    return rec != nullptr || met != nullptr || prf != nullptr;
+    return rec != nullptr || met != nullptr;
   }
 };
 

@@ -1,9 +1,7 @@
 #include "dlb/obs/prof.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +14,7 @@
 #include <string>
 #include <utility>
 
+#include "dlb/obs/export.hpp"
 #include "dlb/obs/recorder.hpp"
 
 #if defined(__linux__)
@@ -30,30 +29,6 @@
 namespace dlb::obs::prof {
 
 namespace {
-
-// The profiler reads its own steady clock so samples are self-contained —
-// a sample's wall_ns never depends on which recorder (if any) is attached.
-// (This file is on dlb_lint's wall-clock and prof-syscall allowlists: it IS
-// the timing/counter instrument the rules fence everything else away from.)
-std::int64_t steady_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-std::uint64_t next_profiler_id() noexcept {
-  static std::atomic<std::uint64_t> counter{1};
-  // dlb-lint: allow(atomic-claim): process-lifetime profiler-id allocation; ids never reach rows
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Per-thread cache of "my buffer in profiler X" — same idiom (and same
-/// reasoning: keyed by id, not address) as the recorder's cache.
-struct tl_cache {
-  std::uint64_t profiler_id = 0;
-  void* buffer = nullptr;
-};
-thread_local tl_cache tls;
 
 constexpr const char* kHwNames[num_hw] = {
     "cycles", "instructions", "cache_references", "cache_misses",
@@ -71,8 +46,8 @@ constexpr std::uint64_t kHwConfigs[num_hw] = {
 /// One perf fd group measuring *this thread*, opened lazily on the thread's
 /// first hardware read and closed when the thread exits (thread_local
 /// destructor) — so per-cell shard pools that come and go never accumulate
-/// open fds for dead threads. The group is profiler-independent: the
-/// counters measure the thread, any hardware-backend profiler may read them.
+/// open fds for dead threads. The group is recorder-independent: the
+/// counters measure the thread, any counters-on recorder may read them.
 struct perf_group {
   int fds[num_hw] = {-1, -1, -1, -1, -1};
   bool tried = false;
@@ -93,7 +68,7 @@ struct perf_group {
   /// failing counter + errno in `reason`, and never retries on this thread.
   bool ensure_open(std::string* reason) {
     if (tried) {
-      // A later profiler on this thread must still learn why the first
+      // A later recorder on this thread must still learn why the first
       // attempt failed (the syscall is never retried).
       if (!ok && reason != nullptr) *reason = fail_reason;
       return ok;
@@ -132,7 +107,7 @@ struct perf_group {
   }
 
   /// Reads all five counters atomically via the group leader.
-  bool read_values(std::array<std::uint64_t, num_hw>& out) {
+  bool read_values(hw_counts& out) {
     if (!ok) return false;
     // PERF_FORMAT_GROUP layout: u64 nr, then nr values in open order.
     std::uint64_t buf[1 + num_hw] = {};
@@ -167,27 +142,6 @@ void write_double(std::ostream& os, double v) {
   os << buf;
 }
 
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 std::string format_ms(std::int64_t ns) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.2fms", static_cast<double>(ns) / 1e6);
@@ -196,113 +150,39 @@ std::string format_ms(std::int64_t ns) {
 
 }  // namespace
 
-const char* hw_name(std::size_t i) noexcept { return kHwNames[i]; }
-
-profiler::profiler() : id_(next_profiler_id()) {
+bool open_counters(std::string& reason) {
+  bool hardware = false;
   if (force_fallback_env()) {
-    fallback_reason_ = "forced by DLB_PROF_FORCE_FALLBACK=1";
+    reason = "forced by DLB_PROF_FORCE_FALLBACK=1";
   } else {
 #if defined(__linux__)
     // Probe on the constructing thread: if the syscall is denied here it is
     // denied everywhere in this process, so later per-thread opens cannot
     // introduce a surprise mid-run.
-    std::string reason;
-    if (tl_group.ensure_open(&reason)) {
-      hardware_ = true;
-    } else {
-      fallback_reason_ = reason;
-    }
+    hardware = tl_group.ensure_open(&reason);
 #else
-    fallback_reason_ = "perf_event_open is Linux-only on this platform";
+    reason = "perf_event_open is Linux-only on this platform";
 #endif
   }
-  if (!hardware_) {
-    // Reported once per profiler (dlb_run builds exactly one), never fatal:
-    // wall-clock skew attribution still works without hardware counters.
+  if (!hardware) {
+    // Reported once per counters-on recorder (dlb_run builds exactly one),
+    // never fatal: wall-clock skew attribution still works without
+    // hardware counters.
     std::fprintf(stderr,
                  "dlb prof: hardware counters unavailable (%s); continuing "
                  "with wall-clock-only profiling\n",
-                 fallback_reason_.c_str());
+                 reason.c_str());
   }
+  return hardware;
 }
 
-profiler::~profiler() = default;
-
-bool profiler::hardware_available() const noexcept { return hardware_; }
-
-const std::string& profiler::fallback_reason() const noexcept {
-  return fallback_reason_;
-}
-
-profiler::buffer& profiler::local() {
-  if (tls.profiler_id == id_) {
-    return *static_cast<buffer*>(tls.buffer);
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  buffers_.push_back(std::make_unique<buffer>());
-  buffer& buf = *buffers_.back();
-  buf.tid = static_cast<std::uint32_t>(buffers_.size() - 1);
-  buf.samples.reserve(1024);
-  tls = {id_, &buf};
-  return buf;
-}
-
-hw_reading profiler::begin() {
-  hw_reading r;
+bool read_counters(hw_counts& out) {
 #if defined(__linux__)
-  if (hardware_ && tl_group.ensure_open(nullptr)) {
-    r.available = tl_group.read_values(r.value);
-  }
-#endif
-  r.wall_ns = steady_ns();
-  return r;
-}
-
-void profiler::complete(const char* name, std::int32_t shard,
-                        std::uint64_t cell, const hw_reading& start) {
-  sample_record s;
-  s.name = name;
-  s.cell = cell;
-  s.shard = shard;
-  s.wall_ns = steady_ns() - start.wall_ns;
-#if defined(__linux__)
-  if (start.available) {
-    std::array<std::uint64_t, num_hw> end{};
-    if (tl_group.read_values(end)) {
-      for (std::size_t i = 0; i < num_hw; ++i) {
-        // Counters are monotonic per thread; a migrating task never reads
-        // backwards, but clamp anyway so a kernel quirk cannot wrap.
-        s.delta[i] = end[i] >= start.value[i] ? end[i] - start.value[i] : 0;
-      }
-      s.available = true;
-    }
-  }
+  return tl_group.ensure_open(nullptr) && tl_group.read_values(out);
 #else
-  (void)start;
+  (void)out;
+  return false;
 #endif
-  buffer& buf = local();
-  s.tid = buf.tid;
-  buf.samples.push_back(s);
-}
-
-std::vector<sample_record> profiler::samples() const {
-  std::vector<sample_record> out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& buf : buffers_) {
-    out.insert(out.end(), buf->samples.begin(), buf->samples.end());
-  }
-  return out;
-}
-
-buffer_footprint profiler::footprint() const {
-  buffer_footprint fp;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fp.threads = buffers_.size();
-  for (const auto& buf : buffers_) {
-    fp.records += buf->samples.size();
-    fp.bytes += buf->samples.capacity() * sizeof(sample_record);
-  }
-  return fp;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,7 +203,7 @@ double shard_stat::cache_miss_rate() const noexcept {
                       hw::cache_references)]));
 }
 
-memory_profile sample_memory(const recorder* rec, const profiler* pf) {
+memory_profile sample_memory(const recorder* rec) {
   memory_profile mem;
 #if defined(__unix__) || defined(__APPLE__) || defined(__linux__)
   struct rusage usage;
@@ -350,11 +230,7 @@ memory_profile sample_memory(const recorder* rec, const profiler* pf) {
     }
   }
 #endif
-  if (rec != nullptr) {
-    const recorder_footprint fp = rec->footprint();
-    mem.recorder = {fp.threads, fp.spans, fp.bytes};
-  }
-  if (pf != nullptr) mem.profiler = pf->footprint();
+  if (rec != nullptr) mem.recorder = rec->footprint();
   return mem;
 }
 
@@ -374,11 +250,11 @@ std::int64_t nearest_rank_p99(std::vector<std::int64_t> values) {
 
 }  // namespace
 
-profile_report analyze_profile(const recorder& rec, const profiler& pf) {
+profile_report analyze_profile(const recorder& rec) {
   profile_report report;
-  report.hardware_available = pf.hardware_available();
-  report.fallback_reason = pf.fallback_reason();
-  report.memory = sample_memory(&rec, &pf);
+  report.hardware_available = rec.hardware_available();
+  report.fallback_reason = rec.fallback_reason();
+  report.memory = sample_memory(&rec);
 
   struct cell_accum {
     std::uint64_t rounds = 0;
@@ -391,41 +267,42 @@ profile_report analyze_profile(const recorder& rec, const profiler& pf) {
   };
   std::map<std::uint64_t, cell_accum> accums;
 
-  for (const sample_record& s : pf.samples()) {
-    if (s.cell == no_cell) continue;  // pool warmup etc. — not attributable
-    cell_accum& acc = accums[s.cell];
-    shard_stat& st = acc.phases[s.name][s.shard];
-    if (st.calls == 0) {
-      st.shard = s.shard;
-      st.hw_available = s.available;
-    }
-    st.calls += 1;
-    st.wall_ns += s.wall_ns;
-    st.hw_available = st.hw_available && s.available;
-    for (std::size_t i = 0; i < num_hw; ++i) st.hw[i] += s.delta[i];
-    acc.max_shard = std::max(acc.max_shard, s.shard);
-  }
-
   for (const span_record& span : rec.events()) {
-    if (span.cell == no_cell || span.name == nullptr) continue;
+    // Spans without a cell (pool warmup etc.) are not attributable; the
+    // run-level "cell" span brackets a whole cell and is no phase.
+    if (span.cell == no_cell || span.name == nullptr ||
+        std::strcmp(span.name, "cell") == 0) {
+      continue;
+    }
     cell_accum& acc = accums[span.cell];
-    if (is_round_span(span.name)) {
-      acc.rounds += 1;
-      acc.round_wall_ns += span.dur_ns;
-    } else if (std::strncmp(span.name, "barrier:", 8) == 0) {
+    acc.max_shard = std::max(acc.max_shard, span.shard);
+    if (std::strncmp(span.name, "barrier:", 8) == 0) {
       acc.barrier_wait_ns += span.dur_ns;
       // Credit the wait to the phase it guards so per-shard barrier columns
-      // line up with the matching profiler samples.
+      // line up with the matching phase spans.
       shard_stat& st = acc.phases[span.name + 8][span.shard];
       if (st.calls == 0) st.shard = span.shard;
       st.barrier_wait_ns += span.dur_ns;
-      acc.max_shard = std::max(acc.max_shard, span.shard);
+      continue;
     }
+    if (is_round_span(span.name)) {
+      acc.rounds += 1;
+      acc.round_wall_ns += span.dur_ns;
+    }
+    shard_stat& st = acc.phases[span.name][span.shard];
+    if (st.calls == 0) {
+      st.shard = span.shard;
+      st.hw_available = span.hw_available;
+    }
+    st.calls += 1;
+    st.wall_ns += span.dur_ns;
+    st.hw_available = st.hw_available && span.hw_available;
+    for (std::size_t i = 0; i < num_hw; ++i) st.hw[i] += span.hw[i];
   }
 
   for (const cell_record& cell : rec.cells()) {
     const auto it = accums.find(cell.id);
-    if (it == accums.end()) continue;  // cell ran without profiling attached
+    if (it == accums.end()) continue;  // cell recorded no attributable span
     const cell_accum& acc = it->second;
 
     cell_profile cp;
@@ -483,7 +360,7 @@ profile_report analyze_profile(const recorder& rec, const profiler& pf) {
 
 void write_profile_json(std::ostream& os, const profile_report& report) {
   os << "{\n";
-  os << "  \"schema\": \"dlb-profile-v1\",\n";
+  os << "  \"schema\": \"dlb-profile-v2\",\n";
   os << "  \"backend\": "
      << (report.hardware_available ? "\"perf_event\"" : "\"fallback\"")
      << ",\n";
@@ -495,10 +372,8 @@ void write_profile_json(std::ostream& os, const profile_report& report) {
      << ", \"vm_hwm_kb\": " << mem.vm_hwm_kb
      << ", \"vm_rss_kb\": " << mem.vm_rss_kb
      << ", \"recorder_threads\": " << mem.recorder.threads
-     << ", \"recorder_spans\": " << mem.recorder.records
-     << ", \"recorder_bytes\": " << mem.recorder.bytes
-     << ", \"profiler_samples\": " << mem.profiler.records
-     << ", \"profiler_bytes\": " << mem.profiler.bytes << "},\n";
+     << ", \"recorder_spans\": " << mem.recorder.spans
+     << ", \"recorder_bytes\": " << mem.recorder.bytes << "},\n";
   os << "  \"cells\": [";
   bool first_cell = true;
   for (const cell_profile& cp : report.cells) {
@@ -565,9 +440,8 @@ void write_profile_table(std::ostream& os, const profile_report& report) {
   os << "\n";
   const memory_profile& mem = report.memory;
   os << "memory: max_rss=" << mem.max_rss_kb << "kB vm_hwm=" << mem.vm_hwm_kb
-     << "kB recorder=" << mem.recorder.records << " spans/"
-     << mem.recorder.bytes / 1024 << "kB profiler=" << mem.profiler.records
-     << " samples/" << mem.profiler.bytes / 1024 << "kB\n";
+     << "kB recorder=" << mem.recorder.spans << " spans/"
+     << mem.recorder.bytes / 1024 << "kB\n";
   for (const cell_profile& cp : report.cells) {
     char share[32];
     std::snprintf(share, sizeof(share), "%.1f%%",

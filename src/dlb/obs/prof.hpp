@@ -1,47 +1,38 @@
 // Hardware-counter & shard-skew profiling on top of the trace recorder.
 //
-// A `prof::profiler` samples five hardware counters (cycles, instructions,
-// cache-references, cache-misses, branch-misses) around every instrumented
-// phase slice via one perf_event_open(2) fd group per participating thread.
-// Where the syscall is unavailable — containers with seccomp filters,
-// macOS, restrictive perf_event_paranoid, or the DLB_PROF_FORCE_FALLBACK=1
-// test knob — the profiler degrades to a wall-clock-only backend: exactly
-// one stderr notice, never a failure, and the sidecar keeps its full schema
-// with every counter marked unavailable.
+// This is the counter backend a counters-on recorder reads: five hardware
+// counters (cycles, instructions, cache-references, cache-misses,
+// branch-misses) through one perf_event_open(2) fd group per participating
+// thread. Where the syscall is unavailable — containers with seccomp
+// filters, macOS, restrictive perf_event_paranoid, or the
+// DLB_PROF_FORCE_FALLBACK=1 test knob — the recorder degrades to wall-clock
+// spans: exactly one stderr notice, never a failure, and the sidecar keeps
+// its full schema with every counter marked unavailable.
 //
-// Like the recorder, the profiler is strictly opt-in observation: sampling
-// reads clocks and counter fds and appends to thread-private buffers. It
-// never touches RNG streams, floating-point order, or serialized row bytes
+// Counter reads are strictly opt-in observation: they read counter fds and
+// never touch RNG streams, floating-point order, or serialized row bytes
 // (tests/prof_test.cpp pins rows byte-identical with profiling on or off at
 // shard-threads 1 and 8).
 //
-// Post-run, `analyze_profile` folds the profiler's samples together with the
-// recorder's per-shard phase spans (barrier:<phase> waits, round spans) into
-// per-cell per-phase skew statistics — slowest/mean/p99 shard, barrier-wait
-// share of round time, IPC and cache-miss rate per shard — emitted as the
-// deterministic-schema "dlb-profile-v1" JSON sidecar and a human table
-// (dlb_run --obs-profile).
+// Post-run, `analyze_profile` folds the recorder's spans — per-shard phase
+// spans with their counter deltas, barrier:<phase> waits, round spans —
+// into per-cell per-phase skew statistics — slowest/mean/p99 shard,
+// barrier-wait share of round time, IPC and cache-miss rate per shard —
+// emitted as the deterministic-schema "dlb-profile-v2" JSON sidecar and a
+// human table (dlb_run --obs-profile).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "dlb/obs/probe.hpp"
-
-namespace dlb::obs {
-class recorder;
-}
+#include "dlb/obs/recorder.hpp"
 
 namespace dlb::obs::prof {
 
-/// The fixed counter set, in fd-group (and sidecar) order.
-inline constexpr std::size_t num_hw = 5;
+/// The fixed counter set's slots in hw_counts (obs::num_hw of them).
 enum class hw : std::size_t {
   cycles = 0,
   instructions = 1,
@@ -50,110 +41,15 @@ enum class hw : std::size_t {
   branch_misses = 4,
 };
 
-/// Sidecar key for counter slot `i` (i < num_hw).
-[[nodiscard]] const char* hw_name(std::size_t i) noexcept;
+/// Probes the counter backend on the calling thread. False selects the
+/// wall-clock-only fallback: `reason` names why (DLB_PROF_FORCE_FALLBACK=1,
+/// the failed perf_event_open, the platform) and one stderr notice is
+/// printed. Never throws for backend reasons.
+[[nodiscard]] bool open_counters(std::string& reason);
 
-/// Counter values captured at one instant on the calling thread, plus the
-/// profiler's own steady-clock reading. `available` is false on the
-/// fallback backend (wall_ns is still valid there).
-struct hw_reading {
-  std::int64_t wall_ns = 0;
-  std::array<std::uint64_t, num_hw> value{};
-  bool available = false;
-};
-
-/// One completed slice: counter deltas attributed to (name, shard, cell).
-/// `name` must be a string literal, same contract as span_record.
-struct sample_record {
-  const char* name = nullptr;
-  std::uint64_t cell = no_cell;
-  std::int64_t wall_ns = 0;  ///< slice duration
-  std::array<std::uint64_t, num_hw> delta{};
-  std::int32_t shard = -1;
-  std::uint32_t tid = 0;
-  bool available = false;  ///< counters valid (hardware backend, same thread)
-};
-
-/// Buffer footprint of an observability sink — the "per-recorder allocation
-/// counters" surfaced in the profile sidecar's memory section.
-struct buffer_footprint {
-  std::uint64_t threads = 0;  ///< per-thread buffers registered
-  std::uint64_t records = 0;  ///< spans / samples held
-  std::uint64_t bytes = 0;    ///< capacity actually reserved
-};
-
-class profiler {
- public:
-  /// Probes backend availability once: DLB_PROF_FORCE_FALLBACK=1 or a failed
-  /// trial perf_event_open selects the wall-clock-only fallback and prints a
-  /// single stderr notice. Construction never throws for backend reasons.
-  profiler();
-  ~profiler();
-
-  profiler(const profiler&) = delete;
-  profiler& operator=(const profiler&) = delete;
-
-  /// False when running on the wall-clock-only fallback backend.
-  [[nodiscard]] bool hardware_available() const noexcept;
-
-  /// Human-readable reason for the fallback, empty on the hardware backend.
-  [[nodiscard]] const std::string& fallback_reason() const noexcept;
-
-  /// Reads the calling thread's counter group (opening it on first use).
-  /// On the fallback backend only the wall clock is read.
-  [[nodiscard]] hw_reading begin();
-
-  /// Closes the slice opened by begin() on the same thread and appends one
-  /// sample to the calling thread's buffer. Lock-free after the thread's
-  /// first sample.
-  void complete(const char* name, std::int32_t shard, std::uint64_t cell,
-                const hw_reading& start);
-
-  /// All samples, merged across threads. Only valid when no instrumented
-  /// work is in flight (same quiescence contract as recorder::events()).
-  [[nodiscard]] std::vector<sample_record> samples() const;
-
-  /// Sample-buffer footprint. Same quiescence contract.
-  [[nodiscard]] buffer_footprint footprint() const;
-
- private:
-  struct buffer {
-    std::uint32_t tid = 0;
-    std::vector<sample_record> samples;
-  };
-
-  buffer& local();
-
-  const std::uint64_t id_;  ///< distinguishes profilers in thread_local caches
-  bool hardware_ = false;
-  std::string fallback_reason_;
-
-  mutable std::mutex mutex_;  // guards the registry, not the buffers' samples
-  std::vector<std::unique_ptr<buffer>> buffers_;
-};
-
-/// RAII sample: begin() at construction, complete() at destruction. A null
-/// profiler makes both ends a no-op.
-class scoped_sample {
- public:
-  scoped_sample(profiler* pf, const char* name, std::int32_t shard = -1,
-                std::uint64_t cell = no_cell)
-      : pf_(pf), name_(name), shard_(shard), cell_(cell) {
-    if (pf_ != nullptr) start_ = pf_->begin();
-  }
-  ~scoped_sample() {
-    if (pf_ != nullptr) pf_->complete(name_, shard_, cell_, start_);
-  }
-  scoped_sample(const scoped_sample&) = delete;
-  scoped_sample& operator=(const scoped_sample&) = delete;
-
- private:
-  profiler* pf_;
-  const char* name_;
-  hw_reading start_;
-  std::int32_t shard_;
-  std::uint64_t cell_;
-};
+/// Reads the calling thread's counter group, opening it on first use; false
+/// (and `out` untouched) when the group cannot be read on this thread.
+[[nodiscard]] bool read_counters(hw_counts& out);
 
 // ---------------------------------------------------------------------------
 // Post-run skew analysis
@@ -165,7 +61,7 @@ struct shard_stat {
   std::uint64_t calls = 0;
   std::int64_t wall_ns = 0;
   std::int64_t barrier_wait_ns = 0;  ///< from the recorder's barrier:* spans
-  std::array<std::uint64_t, num_hw> hw{};
+  hw_counts hw{};
   bool hw_available = false;
 
   [[nodiscard]] double ipc() const noexcept;
@@ -204,8 +100,7 @@ struct memory_profile {
   std::uint64_t max_rss_kb = 0;  ///< getrusage ru_maxrss (0 if unavailable)
   std::uint64_t vm_hwm_kb = 0;   ///< /proc/self/status VmHWM (0 if absent)
   std::uint64_t vm_rss_kb = 0;   ///< /proc/self/status VmRSS (0 if absent)
-  buffer_footprint recorder;
-  buffer_footprint profiler;
+  recorder_footprint recorder;
 };
 
 struct profile_report {
@@ -215,17 +110,15 @@ struct profile_report {
   std::vector<cell_profile> cells;  ///< recorder cell-registration order
 };
 
-/// Process-wide memory high-water marks plus sink footprints. Reads
-/// getrusage and /proc/self/status; fields that cannot be read stay 0.
-[[nodiscard]] memory_profile sample_memory(const recorder* rec,
-                                           const profiler* pf);
+/// Process-wide memory high-water marks plus the recorder's footprint.
+/// Reads getrusage and /proc/self/status; fields that cannot be read stay 0.
+[[nodiscard]] memory_profile sample_memory(const recorder* rec);
 
-/// Joins the profiler's samples with the recorder's spans into per-cell
-/// per-phase skew statistics. Both must be quiescent.
-[[nodiscard]] profile_report analyze_profile(const recorder& rec,
-                                             const profiler& pf);
+/// Folds the recorder's cell-attributed spans into per-cell per-phase skew
+/// statistics. The recorder must be quiescent.
+[[nodiscard]] profile_report analyze_profile(const recorder& rec);
 
-/// The "dlb-profile-v1" sidecar: fixed key set and order, so downstream
+/// The "dlb-profile-v2" sidecar: fixed key set and order, so downstream
 /// tooling (tools/check_profile.py) can validate the schema byte-for-byte.
 void write_profile_json(std::ostream& os, const profile_report& report);
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 
+#include "dlb/obs/prof.hpp"
+
 namespace dlb::obs {
 
 namespace {
@@ -31,12 +33,52 @@ thread_local tl_cache tls;
 
 }  // namespace
 
-recorder::recorder() : id_(next_recorder_id()), epoch_ns_(steady_ns()) {}
+recorder::recorder(counters mode)
+    : id_(next_recorder_id()), epoch_ns_(steady_ns()) {
+  if (mode == counters::on) {
+    hardware_ = prof::open_counters(fallback_reason_);
+  } else {
+    fallback_reason_ = "recorder built with counters off";
+  }
+}
 
 recorder::~recorder() = default;
 
 std::int64_t recorder::now() const noexcept {
   return steady_ns() - epoch_ns_;
+}
+
+bool recorder::hardware_available() const noexcept { return hardware_; }
+
+const std::string& recorder::fallback_reason() const noexcept {
+  return fallback_reason_;
+}
+
+span_start recorder::begin() const {
+  span_start start;
+  if (hardware_) start.hw_available = prof::read_counters(start.hw);
+  start.ts_ns = now();
+  return start;
+}
+
+std::int64_t recorder::end(const char* name, const span_start& start,
+                           std::int32_t shard, std::uint64_t cell,
+                           std::int64_t arg) {
+  const std::int64_t end_ns = now();
+  span_record span{name, start.ts_ns, end_ns - start.ts_ns, arg, cell,
+                   /*tid=*/0, shard};
+  if (start.hw_available && prof::read_counters(span.hw)) {
+    for (std::size_t i = 0; i < num_hw; ++i) {
+      // Counters are monotonic per thread; clamp anyway so a kernel quirk
+      // cannot wrap a delta.
+      span.hw[i] = span.hw[i] >= start.hw[i] ? span.hw[i] - start.hw[i] : 0;
+    }
+    span.hw_available = true;
+  }
+  buffer& buf = local();
+  span.tid = buf.tid;
+  buf.spans.push_back(span);
+  return end_ns;
 }
 
 recorder::buffer& recorder::local() {

@@ -11,11 +11,19 @@
 // construction epoch, so spans from different threads order correctly and
 // exported microsecond values stay small.
 //
+// A recorder built with counters on (dlb_run --obs-profile) also reads the
+// calling thread's hardware-counter group (dlb::obs::prof owns the
+// perf_event_open backend) wherever it reads the clock for begin()/end(),
+// so each span carries its own counter deltas and the skew profile
+// (prof::analyze_profile) folds from the spans alone.
+//
 // Reading the buffers back (events(), cells()) is only safe when no
 // instrumented work is in flight — after run_grid has returned and the pools
 // are idle. That is the natural export point and the only one dlb_run uses.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -26,6 +34,11 @@
 #include "dlb/obs/probe.hpp"
 
 namespace dlb::obs {
+
+/// Hardware counters a counters-on recorder reads at both ends of a span, in
+/// perf fd-group (and profile sidecar) order; prof::hw names the slots.
+inline constexpr std::size_t num_hw = 5;
+using hw_counts = std::array<std::uint64_t, num_hw>;
 
 /// One completed span. `name` must be a string literal (or otherwise outlive
 /// the recorder) — records store the pointer, never a copy.
@@ -38,6 +51,17 @@ struct span_record {
   std::uint64_t cell = no_cell;  ///< owning cell, or no_cell
   std::uint32_t tid = 0;    ///< recorder-assigned thread index
   std::int32_t shard = -1;  ///< shard index for per-shard phase spans
+  hw_counts hw{};           ///< counter deltas over the span (zero unless
+                            ///< hw_available)
+  bool hw_available = false;  ///< counters read at both ends on one thread
+};
+
+/// The opening reading of a span: the clock, plus (counters on) the calling
+/// thread's counter values. Produced by recorder::begin(), consumed by end().
+struct span_start {
+  std::int64_t ts_ns = 0;
+  hw_counts hw{};
+  bool hw_available = false;
 };
 
 /// Allocation accounting for a recorder's span buffers.
@@ -61,7 +85,13 @@ struct cell_record {
 
 class recorder {
  public:
-  recorder();
+  enum class counters { off, on };
+
+  /// counters::on probes the counter backend once: DLB_PROF_FORCE_FALLBACK=1
+  /// or a failed trial perf_event_open selects the wall-clock-only fallback
+  /// and prints a single stderr notice. Construction never throws for
+  /// backend reasons.
+  explicit recorder(counters mode = counters::off);
   ~recorder();
 
   recorder(const recorder&) = delete;
@@ -70,8 +100,27 @@ class recorder {
   /// Nanoseconds since the recorder epoch (steady_clock).
   [[nodiscard]] std::int64_t now() const noexcept;
 
-  /// Appends one completed span to the calling thread's buffer. `name` must
-  /// be a string literal. Lock-free after the thread's first record.
+  /// True when spans opened by begin() carry hardware-counter deltas.
+  [[nodiscard]] bool hardware_available() const noexcept;
+
+  /// Why spans carry no counters ("counters off", the forced fallback, the
+  /// failed syscall); empty when hardware_available().
+  [[nodiscard]] const std::string& fallback_reason() const noexcept;
+
+  /// Opens a span on the calling thread: reads its counters (counters on,
+  /// hardware backend), then the clock.
+  [[nodiscard]] span_start begin() const;
+
+  /// Closes the span `start` opened on the same thread and appends it, with
+  /// its counter deltas, to the calling thread's buffer. Returns the end
+  /// timestamp. `name` must be a string literal.
+  std::int64_t end(const char* name, const span_start& start,
+                   std::int32_t shard = -1, std::uint64_t cell = no_cell,
+                   std::int64_t arg = -1);
+
+  /// Appends one completed span timed by the caller (no counters) to the
+  /// calling thread's buffer. `name` must be a string literal. Lock-free
+  /// after the thread's first record.
   void complete(const char* name, std::int64_t ts_ns, std::int64_t dur_ns,
                 std::int32_t shard = -1, std::uint64_t cell = no_cell,
                 std::int64_t arg = -1);
@@ -110,6 +159,8 @@ class recorder {
 
   const std::uint64_t id_;  ///< distinguishes recorders in thread_local caches
   std::int64_t epoch_ns_ = 0;  ///< steady_clock at construction
+  bool hardware_ = false;      ///< counters on and the backend opened
+  std::string fallback_reason_;
 
   mutable std::mutex mutex_;  // guards the containers below, not their spans
   std::vector<std::unique_ptr<buffer>> buffers_;
@@ -118,19 +169,16 @@ class recorder {
 
 /// RAII span: records [construction, destruction) on the probe's recorder.
 /// A null recorder makes both ends a no-op — the zero-cost-when-disabled
-/// idiom for code that cannot conveniently call complete() itself.
+/// idiom for code that cannot conveniently call begin()/end() itself.
 class scoped_span {
  public:
   scoped_span(recorder* rec, const char* name, std::int32_t shard = -1,
-              std::uint64_t cell = no_cell, std::int64_t arg = -1) noexcept
+              std::uint64_t cell = no_cell, std::int64_t arg = -1)
       : rec_(rec), name_(name), shard_(shard), cell_(cell), arg_(arg) {
-    if (rec_ != nullptr) start_ns_ = rec_->now();
+    if (rec_ != nullptr) start_ = rec_->begin();
   }
   ~scoped_span() {
-    if (rec_ != nullptr) {
-      rec_->complete(name_, start_ns_, rec_->now() - start_ns_, shard_, cell_,
-                     arg_);
-    }
+    if (rec_ != nullptr) rec_->end(name_, start_, shard_, cell_, arg_);
   }
   scoped_span(const scoped_span&) = delete;
   scoped_span& operator=(const scoped_span&) = delete;
@@ -138,7 +186,7 @@ class scoped_span {
  private:
   recorder* rec_;
   const char* name_;
-  std::int64_t start_ns_ = 0;
+  span_start start_;
   std::int32_t shard_;
   std::uint64_t cell_;
   std::int64_t arg_;

@@ -58,15 +58,14 @@ std::unique_ptr<events::trace_source> make_cell_trace(const grid_spec& spec,
 }
 
 shard_rig make_shard_rig(const graph& g, unsigned shard_threads,
-                         obs::recorder* rec, obs::prof::profiler* prf) {
+                         obs::recorder* rec) {
   shard_rig rig;
   if (shard_threads <= 1) return rig;
   rig.pool = std::make_unique<thread_pool>(shard_threads);
   // The shard pool's own scheduling telemetry (pool_task spans with
   // enqueue→start latency, counter deltas per slice) goes to the same
-  // recorder/profiler as the phase spans.
+  // recorder as the phase spans.
   if (rec != nullptr) rig.pool->set_recorder(rec);
-  if (prf != nullptr) rig.pool->set_profiler(prf);
   thread_pool* pool = rig.pool.get();
   rig.ctx = std::make_shared<const shard_context>(shard_context{
       shard_plan(g, shard_threads),
@@ -216,8 +215,7 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
     row.wall_ns = timer.elapsed_ns();
     return result;
   };
-  const shard_rig rig =
-      make_shard_rig(*gc.g, spec.shard_threads, pb.rec, pb.prf);
+  const shard_rig rig = make_shard_rig(*gc.g, spec.shard_threads, pb.rec);
   auto d = comp.build(gc.g, s, tokens, spec.comm_model, cell.seed);
   if (rig.ctx != nullptr) try_enable_sharding(*d, rig.ctx);
   if (pb.active()) try_attach_probe(*d, pb);
@@ -297,8 +295,7 @@ result_row run_cell_impl(const grid_spec& spec, const grid_cell& cell,
 }  // namespace
 
 result_row run_cell(const grid_spec& spec, const grid_cell& cell) {
-  if (spec.recorder == nullptr && !spec.obs_extras &&
-      spec.profiler == nullptr) {
+  if (spec.recorder == nullptr && !spec.obs_extras) {
     return run_cell_impl(spec, cell, {});
   }
   // One metrics object per executing cell; shard threads bump it through
@@ -306,7 +303,6 @@ result_row run_cell(const grid_spec& spec, const grid_cell& cell) {
   // --obs-extras, to row.extra) once the cell is done.
   obs::metrics met;
   obs::probe pb{spec.recorder, &met, obs::no_cell};
-  pb.prf = spec.profiler;
   std::int64_t cell_start = 0;
   if (spec.recorder != nullptr) {
     pb.cell = spec.recorder->register_cell(

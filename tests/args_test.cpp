@@ -14,7 +14,7 @@ TEST(ArgsTest, ParsesKeyValuePairs) {
   EXPECT_EQ(args.get_int("n", 0), 64);
   EXPECT_DOUBLE_EQ(args.get_real("rate", 0.0), 0.5);
   EXPECT_TRUE(args.has("verbose"));
-  EXPECT_EQ(args.get("verbose", ""), "true");
+  EXPECT_THROW((void)args.get("verbose", ""), contract_violation);
 }
 
 TEST(ArgsTest, FallbacksApply) {
@@ -74,12 +74,13 @@ TEST(ArgsTest, DashedKeyWithEqualsSign) {
 TEST(ArgsTest, TrailingDashedTokenIsAFlag) {
   const arg_map args({"--list"});
   EXPECT_TRUE(args.has("list"));
-  EXPECT_EQ(args.get("list", ""), "true");
+  EXPECT_THROW((void)args.get("list", ""), contract_violation);
 }
 
 TEST(ArgsTest, DashedFlagFollowedByAnotherKeyStaysAFlag) {
   const arg_map args({"--table", "--grid", "table1"});
-  EXPECT_EQ(args.get("table", ""), "true");
+  EXPECT_TRUE(args.has("table"));
+  EXPECT_THROW((void)args.get("table", ""), contract_violation);
   EXPECT_EQ(args.get("grid", ""), "table1");
 }
 
@@ -96,8 +97,23 @@ TEST(ArgsTest, DashLedStringValueNeedsEqualsSpelling) {
 
 TEST(ArgsTest, DashedFlagDoesNotSwallowKeyValueTokens) {
   const arg_map args({"--table", "master-seed=9"});
-  EXPECT_EQ(args.get("table", ""), "true");
+  EXPECT_TRUE(args.has("table"));
+  EXPECT_THROW((void)args.get("table", ""), contract_violation);
   EXPECT_EQ(args.get_int("master-seed", 1), 9);
+}
+
+TEST(ArgsTest, BareFlagHasNoValue) {
+  const arg_map args({"--out", "--trace", "--n"});
+  EXPECT_TRUE(args.has("out"));
+  EXPECT_THROW((void)args.get("out", "fallback"), contract_violation);
+  EXPECT_THROW((void)args.get_int("n", 1), contract_violation);
+  EXPECT_THROW((void)args.get_real("trace", 1.0), contract_violation);
+  try {
+    (void)args.get("trace", "");
+    FAIL() << "a bare key must not read as a value";
+  } catch (const contract_violation& e) {
+    EXPECT_STREQ(e.what(), "argument 'trace' needs a value");
+  }
 }
 
 TEST(ArgsTest, DashedAndPlainSpellingsCollide) {

@@ -1,9 +1,9 @@
-// The profiling contract (dlb::obs::prof): hardware-counter sampling is
-// pure observation — grid rows must stay byte-identical with profiling on
-// or off at any shard-thread count — and the backend degrades gracefully:
-// where perf_event_open is unavailable (or DLB_PROF_FORCE_FALLBACK=1
-// forces the issue) the profiler keeps the full sidecar schema on
-// wall-clock-only data, reports exactly one stderr notice, and never fails.
+// The profiling contract (dlb::obs::prof): a counters-on recorder is pure
+// observation — grid rows must stay byte-identical with counters on or off
+// at any shard-thread count — and the backend degrades gracefully: where
+// perf_event_open is unavailable (or DLB_PROF_FORCE_FALLBACK=1 forces the
+// issue) the recorder keeps the full sidecar schema on wall-clock-only
+// spans, reports exactly one stderr notice, and never fails.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -38,15 +38,14 @@ runtime::grid_options tiny_options(unsigned shard_threads) {
   return opts;
 }
 
-/// Canonical (timing-masked) JSON of one grid run, optionally profiled.
+/// Canonical (timing-masked) JSON of one grid run, optionally recorded.
 std::string run_json(const std::string& grid, unsigned shard_threads,
-                     obs::recorder* rec, obs::prof::profiler* pf) {
+                     obs::recorder* rec) {
   runtime::grid_spec spec =
       runtime::make_named_grid(grid, tiny_options(shard_threads), 5);
   spec.recorder = rec;
-  spec.profiler = pf;
   runtime::thread_pool pool(2);
-  if (pf != nullptr) pool.set_profiler(pf);
+  if (rec != nullptr) pool.set_recorder(rec);
   const auto rows = runtime::run_grid(spec, 5, pool);
   std::ostringstream os;
   runtime::write_json(os, rows, runtime::timing::exclude);
@@ -85,36 +84,33 @@ void expect_balanced_json(const std::string& text) {
 
 // ----------------------------------------------- rows unchanged by profiling
 
-TEST(ProfRowsTest, Table1ByteIdenticalWithProfilerOnAndOff) {
-  const std::string plain = run_json("table1", 1, nullptr, nullptr);
-  obs::recorder rec1;
-  obs::prof::profiler pf1;
-  EXPECT_EQ(plain, run_json("table1", 1, &rec1, &pf1));
-  obs::recorder rec8;
-  obs::prof::profiler pf8;
-  EXPECT_EQ(plain, run_json("table1", 8, &rec8, &pf8));
-  EXPECT_FALSE(pf1.samples().empty()) << "profiled run sampled nothing";
+constexpr auto counters_on = obs::recorder::counters::on;
+
+TEST(ProfRowsTest, Table1ByteIdenticalWithCountersOnAndOff) {
+  const std::string plain = run_json("table1", 1, nullptr);
+  obs::recorder rec1(counters_on);
+  EXPECT_EQ(plain, run_json("table1", 1, &rec1));
+  obs::recorder rec8(counters_on);
+  EXPECT_EQ(plain, run_json("table1", 8, &rec8));
+  EXPECT_FALSE(rec1.events().empty()) << "profiled run recorded nothing";
 }
 
-TEST(ProfRowsTest, HugeStaticByteIdenticalWithProfilerOnAndOff) {
-  const std::string plain = run_json("huge-static", 1, nullptr, nullptr);
-  obs::recorder rec1;
-  obs::prof::profiler pf1;
-  EXPECT_EQ(plain, run_json("huge-static", 1, &rec1, &pf1));
-  obs::recorder rec8;
-  obs::prof::profiler pf8;
-  EXPECT_EQ(plain, run_json("huge-static", 8, &rec8, &pf8));
+TEST(ProfRowsTest, HugeStaticByteIdenticalWithCountersOnAndOff) {
+  const std::string plain = run_json("huge-static", 1, nullptr);
+  obs::recorder rec1(counters_on);
+  EXPECT_EQ(plain, run_json("huge-static", 1, &rec1));
+  obs::recorder rec8(counters_on);
+  EXPECT_EQ(plain, run_json("huge-static", 8, &rec8));
 }
 
 // ------------------------------------------------------- fallback backend
 
 TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
   ASSERT_EQ(setenv("DLB_PROF_FORCE_FALLBACK", "1", /*overwrite=*/1), 0);
-  const std::string plain = run_json("table1", 1, nullptr, nullptr);
+  const std::string plain = run_json("table1", 1, nullptr);
 
   testing::internal::CaptureStderr();
-  obs::recorder rec;
-  obs::prof::profiler pf;
+  obs::recorder rec(counters_on);
   const std::string notice = testing::internal::GetCapturedStderr();
   ASSERT_EQ(unsetenv("DLB_PROF_FORCE_FALLBACK"), 0);
 
@@ -123,19 +119,19 @@ TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
   EXPECT_NE(notice.find("DLB_PROF_FORCE_FALLBACK"), std::string::npos);
   EXPECT_EQ(notice.find("dlb prof:"), notice.rfind("dlb prof:"))
       << "fallback notice printed more than once:\n" << notice;
-  EXPECT_FALSE(pf.hardware_available());
-  EXPECT_NE(pf.fallback_reason().find("DLB_PROF_FORCE_FALLBACK"),
+  EXPECT_FALSE(rec.hardware_available());
+  EXPECT_NE(rec.fallback_reason().find("DLB_PROF_FORCE_FALLBACK"),
             std::string::npos);
 
-  // Rows stay byte-identical and sampling keeps running on wall clock.
+  // Rows stay byte-identical and spans keep running on wall clock.
   testing::internal::CaptureStderr();  // swallow any later prints
-  const std::string profiled = run_json("table1", 4, &rec, &pf);
+  const std::string profiled = run_json("table1", 4, &rec);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "")
       << "fallback must be reported once, at construction only";
   EXPECT_EQ(plain, profiled);
 
   // Full-schema sidecar: backend marked, counters flagged unavailable.
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_FALSE(report.cells.empty());
   EXPECT_FALSE(report.hardware_available);
   EXPECT_FALSE(report.fallback_reason.empty());
@@ -167,7 +163,7 @@ std::shared_ptr<const shard_context> serial_context(const graph& g,
       }});
 }
 
-TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
+TEST(ProfAnalysisTest, FoldsPerShardSpansAndBarrierWaits) {
   const auto g =
       std::make_shared<const graph>(generators::ring_of_cliques(4, 5));
   const speed_vector s = uniform_speeds(g->num_nodes());
@@ -176,15 +172,12 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
                task_assignment::tokens(tokens));
   p.enable_sharded_stepping(serial_context(*g, 4));
 
-  obs::recorder rec;
-  obs::prof::profiler pf;
+  obs::recorder rec(counters_on);
   const std::uint64_t cell = rec.register_cell("t", "ring", "algorithm1", 0);
-  obs::probe pb{&rec, nullptr, cell};
-  pb.prf = &pf;
-  ASSERT_TRUE(try_attach_probe(p, pb));
+  ASSERT_TRUE(try_attach_probe(p, obs::probe{&rec, nullptr, cell}));
   for (int t = 0; t < 10; ++t) p.step();
 
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_EQ(report.cells.size(), 1u);
   const obs::prof::cell_profile& cp = report.cells[0];
   EXPECT_EQ(cp.cell, cell);
@@ -219,26 +212,24 @@ TEST(ProfAnalysisTest, FoldsPerShardSamplesAndBarrierWaits) {
   }
   EXPECT_TRUE(saw_edge);
 
-  // Memory section: high-water marks and both sink footprints populated.
-  const obs::prof::memory_profile mem = sample_memory(&rec, &pf);
+  // Memory section: high-water marks and the recorder footprint populated.
+  const obs::prof::memory_profile mem = obs::prof::sample_memory(&rec);
   EXPECT_GT(mem.max_rss_kb + mem.vm_hwm_kb, 0u);
-  EXPECT_GT(mem.recorder.records, 0u);
-  EXPECT_GT(mem.profiler.records, 0u);
-  EXPECT_GT(mem.profiler.bytes, 0u);
+  EXPECT_GT(mem.recorder.spans, 0u);
+  EXPECT_GE(mem.recorder.bytes, mem.recorder.spans * sizeof(obs::span_record));
 }
 
 TEST(ProfAnalysisTest, ReportRendersAsJsonAndTable) {
-  obs::recorder rec;
-  obs::prof::profiler pf;
-  (void)run_json("table1", 2, &rec, &pf);
-  const obs::prof::profile_report report = analyze_profile(rec, pf);
+  obs::recorder rec(counters_on);
+  (void)run_json("table1", 2, &rec);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_FALSE(report.cells.empty());
 
   std::ostringstream sidecar;
   write_profile_json(sidecar, report);
   const std::string json = sidecar.str();
   expect_balanced_json(json);
-  EXPECT_NE(json.find("\"schema\": \"dlb-profile-v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"dlb-profile-v2\""), std::string::npos);
   EXPECT_NE(json.find("\"barrier_wait_share\""), std::string::npos);
   EXPECT_NE(json.find("\"per_shard\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_misses\""), std::string::npos);
@@ -249,16 +240,29 @@ TEST(ProfAnalysisTest, ReportRendersAsJsonAndTable) {
   EXPECT_NE(table.str().find("barrier"), std::string::npos);
 }
 
-TEST(ProfScopedSampleTest, NullProfilerIsANoOp) {
-  const obs::prof::scoped_sample sample(nullptr, "nothing");
-  obs::prof::profiler pf;
-  { const obs::prof::scoped_sample live(&pf, "slice", 3, 7); }
-  const auto samples = pf.samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_STREQ(samples[0].name, "slice");
-  EXPECT_EQ(samples[0].shard, 3);
-  EXPECT_EQ(samples[0].cell, 7u);
-  EXPECT_GE(samples[0].wall_ns, 0);
+TEST(ProfSpanCountersTest, CountersOffAndFallbackSpansCarryNoCounters) {
+  { const obs::scoped_span nothing(nullptr, "nothing"); }  // null: no-op
+
+  obs::recorder off;
+  ASSERT_EQ(setenv("DLB_PROF_FORCE_FALLBACK", "1", /*overwrite=*/1), 0);
+  testing::internal::CaptureStderr();
+  obs::recorder fallback(counters_on);
+  (void)testing::internal::GetCapturedStderr();
+  ASSERT_EQ(unsetenv("DLB_PROF_FORCE_FALLBACK"), 0);
+
+  for (obs::recorder* rec : {&off, &fallback}) {
+    { const obs::scoped_span live(rec, "slice", 3, 7); }
+    EXPECT_FALSE(rec->hardware_available());
+    EXPECT_FALSE(rec->fallback_reason().empty());
+    const std::vector<obs::span_record> spans = rec->events();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_STREQ(spans[0].name, "slice");
+    EXPECT_EQ(spans[0].shard, 3);
+    EXPECT_EQ(spans[0].cell, 7u);
+    EXPECT_GE(spans[0].dur_ns, 0);
+    EXPECT_FALSE(spans[0].hw_available);
+    EXPECT_EQ(spans[0].hw, obs::hw_counts{});
+  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema validator for dlb-profile-v1 sidecars (`dlb_run --obs-profile`).
+"""Schema validator for dlb-profile-v2 sidecars (`dlb_run --obs-profile`).
 
 Checks the JSON written by dlb::obs::prof::write_profile_json: required
 keys at every level, types, and the cross-field invariants the analyzer
@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-SCHEMA = "dlb-profile-v1"
+SCHEMA = "dlb-profile-v2"
 BACKENDS = ("perf_event", "fallback")
 HW_FIELDS = ("cycles", "instructions", "cache_references", "cache_misses",
              "branch_misses")
@@ -187,8 +187,6 @@ def main():
         check_number(memory, "$.memory", "recorder_threads", minimum=0)
         check_number(memory, "$.memory", "recorder_spans", minimum=0)
         check_number(memory, "$.memory", "recorder_bytes", minimum=0)
-        check_number(memory, "$.memory", "profiler_samples", minimum=0)
-        check_number(memory, "$.memory", "profiler_bytes", minimum=0)
 
     cells = need(doc, "$", "cells", list)
     if cells is not None:

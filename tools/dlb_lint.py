@@ -519,7 +519,7 @@ def lint_file(path: Path, display: Path, on_serial_path: bool):
             report(
                 m.start(), "prof-syscall",
                 "perf_event_open outside obs/prof: hardware counters must "
-                "go through dlb::obs::prof::profiler, which owns fd "
+                "go through dlb::obs::prof's counter backend, which owns fd "
                 "lifetime and the graceful-fallback contract")
         for m in PROC_SELF_RE.finditer(strip_comments(text)):
             report(
