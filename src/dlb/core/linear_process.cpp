@@ -9,11 +9,25 @@
 
 namespace dlb {
 
+// ---- round_stamps -----------------------------------------------------------
+
+void detail::round_stamps::fill(round_t t,
+                                const std::vector<real_t>& edge_alpha,
+                                real_t* out, const edge_slice& es) const {
+  DLB_EXPECTS(round_ == t);  // begin_round(t) must have run
+  es.for_each([&](edge_id e) {
+    const auto i = static_cast<size_t>(e);
+    out[e] = round_of_[i] == t ? edge_alpha[i] : 0.0;
+  });
+}
+
 // ---- periodic_matching_schedule --------------------------------------------
 
 periodic_matching_schedule::periodic_matching_schedule(
     const graph& g, const speed_vector& s, std::vector<matching> matchings)
-    : num_edges_(g.num_edges()), matchings_(std::move(matchings)) {
+    : num_edges_(g.num_edges()),
+      matchings_(std::move(matchings)),
+      stamps_(num_edges_) {
   validate_speeds(g, s);
   DLB_EXPECTS(!matchings_.empty());
   for (const matching& m : matchings_) DLB_EXPECTS(is_matching(g, m));
@@ -23,24 +37,6 @@ periodic_matching_schedule::periodic_matching_schedule(
     edge_alpha_[static_cast<size_t>(e)] =
         matching_alpha(s[static_cast<size_t>(ed.u)],
                        s[static_cast<size_t>(ed.v)]);
-  }
-  // Invert matchings → per-edge slot rows (counting-sort CSR build; the
-  // outer loops visit matchings in index order, so every row comes out
-  // sorted without an explicit sort).
-  slot_offsets_.assign(static_cast<size_t>(num_edges_) + 1, 0);
-  for (const matching& m : matchings_) {
-    for (const edge_id e : m) ++slot_offsets_[static_cast<size_t>(e) + 1];
-  }
-  for (size_t e = 0; e < static_cast<size_t>(num_edges_); ++e) {
-    slot_offsets_[e + 1] += slot_offsets_[e];
-  }
-  slot_values_.resize(slot_offsets_[static_cast<size_t>(num_edges_)]);
-  std::vector<std::uint32_t> fill(slot_offsets_.begin(),
-                                  slot_offsets_.end() - 1);
-  for (std::uint32_t slot = 0; slot < matchings_.size(); ++slot) {
-    for (const edge_id e : matchings_[slot]) {
-      slot_values_[fill[static_cast<size_t>(e)]++] = slot;
-    }
   }
 }
 
@@ -54,18 +50,6 @@ void periodic_matching_schedule::alphas(round_t t,
   }
 }
 
-void periodic_matching_schedule::fill_alphas(round_t t, real_t* out,
-                                             const edge_slice& es) const {
-  const auto slot = static_cast<std::uint32_t>(
-      static_cast<size_t>(t) % matchings_.size());
-  es.for_each([&](edge_id e) {
-    const std::uint32_t* lo = slot_values_.data() + slot_offsets_[static_cast<size_t>(e)];
-    const std::uint32_t* hi = slot_values_.data() + slot_offsets_[static_cast<size_t>(e) + 1];
-    const bool active = std::binary_search(lo, hi, slot);
-    out[e] = active ? edge_alpha_[static_cast<size_t>(e)] : 0.0;
-  });
-}
-
 std::unique_ptr<alpha_schedule> periodic_matching_schedule::clone() const {
   return std::unique_ptr<alpha_schedule>(
       new periodic_matching_schedule(*this));
@@ -76,7 +60,7 @@ std::unique_ptr<alpha_schedule> periodic_matching_schedule::clone() const {
 random_matching_schedule::random_matching_schedule(const graph& g,
                                                    const speed_vector& s,
                                                    std::uint64_t seed)
-    : g_(&g), seed_(seed) {
+    : g_(&g), seed_(seed), stamps_(g.num_edges()) {
   validate_speeds(g, s);
   edge_alpha_.assign(static_cast<size_t>(g.num_edges()), 0.0);
   for (edge_id e = 0; e < g.num_edges(); ++e) {
@@ -98,28 +82,13 @@ void random_matching_schedule::alphas(round_t t,
 }
 
 void random_matching_schedule::begin_round(round_t t) const {
-  if (matched_round_ == t && !matched_.empty()) {
+  if (stamps_.round() == t) {
     return;  // same round re-entered (restart after restore re-fills)
   }
-  // The greedy maximal-matching draw is the same call the alphas() path
-  // makes — identical bits — and stays sequential by design: its result
-  // depends on visit order. Sorting the matched set (it arrives in draw
-  // order) is what lets fill slices binary-search it.
-  matching m = random_maximal_matching(*g_, seed_,
-                                       static_cast<std::uint64_t>(t));
-  matched_.assign(m.begin(), m.end());
-  std::sort(matched_.begin(), matched_.end());
-  matched_round_ = t;
-}
-
-void random_matching_schedule::fill_alphas(round_t t, real_t* out,
-                                           const edge_slice& es) const {
-  DLB_EXPECTS(matched_round_ == t);  // begin_round(t) must have run
-  es.for_each([&](edge_id e) {
-    const bool active =
-        std::binary_search(matched_.begin(), matched_.end(), e);
-    out[e] = active ? edge_alpha_[static_cast<size_t>(e)] : 0.0;
-  });
+  // The same draw the alphas() path makes, so the bits are identical. It
+  // stays sequential: the greedy result depends on visit order.
+  stamps_.stamp(t, random_maximal_matching(*g_, seed_,
+                                           static_cast<std::uint64_t>(t)));
 }
 
 std::unique_ptr<alpha_schedule> random_matching_schedule::clone() const {

@@ -15,6 +15,39 @@
 
 namespace dlb {
 
+namespace detail {
+
+/// The ranged-fill round cache of both matching schedules: round_of_[e] == t
+/// iff edge e is in round t's matching. Stamps are never cleared; a stale
+/// one names a round whose matching did contain e, and a round's matching
+/// is a fixed function of t, so the exact-round compare stays right when
+/// rounds are revisited out of order (restore, rewinds).
+class round_stamps {
+ public:
+  explicit round_stamps(edge_id num_edges)
+      : round_of_(static_cast<std::size_t>(num_edges), -1) {}
+
+  /// Sequential prologue: marks m's edges active in round t.
+  void stamp(round_t t, const matching& m) {
+    for (const edge_id e : m) round_of_[static_cast<std::size_t>(e)] = t;
+    round_ = t;
+  }
+
+  /// The round stamped last (-1 before any).
+  [[nodiscard]] round_t round() const { return round_; }
+
+  /// out[e] = edge_alpha[e] for the slice's edges stamped t, else 0.
+  /// Requires round t to be the last stamped.
+  void fill(round_t t, const std::vector<real_t>& edge_alpha, real_t* out,
+            const edge_slice& es) const;
+
+ private:
+  std::vector<round_t> round_of_;
+  round_t round_ = -1;
+};
+
+}  // namespace detail
+
 /// Constant per-edge α — the diffusion schedule (FOS/SOS).
 class diffusion_alpha_schedule final : public alpha_schedule {
  public:
@@ -56,8 +89,14 @@ class periodic_matching_schedule final : public alpha_schedule {
   void alphas(round_t t, std::vector<real_t>& out) const override;
 
   [[nodiscard]] bool ranged_fill() const override { return true; }
+  void begin_round(round_t t) const override {
+    stamps_.stamp(t, matchings_[static_cast<std::size_t>(t) %
+                                matchings_.size()]);
+  }
   void fill_alphas(round_t t, real_t* out,
-                   const edge_slice& es) const override;
+                   const edge_slice& es) const override {
+    stamps_.fill(t, edge_alpha_, out, es);
+  }
 
   [[nodiscard]] std::unique_ptr<alpha_schedule> clone() const override;
 
@@ -71,12 +110,7 @@ class periodic_matching_schedule final : public alpha_schedule {
   edge_id num_edges_;
   std::vector<matching> matchings_;
   std::vector<real_t> edge_alpha_;  // matching α per edge, precomputed
-  // Inverted index for the sharded fill: slots_of edge e = the sorted
-  // matching indices containing e, as CSR rows [slot_offsets_[e],
-  // slot_offsets_[e+1]) into slot_values_. Built once at construction so a
-  // fill slice answers "is e active in round t" without scanning matchings.
-  std::vector<std::uint32_t> slot_offsets_;
-  std::vector<std::uint32_t> slot_values_;
+  mutable detail::round_stamps stamps_;  // written only by begin_round
 };
 
 /// Random matching schedule: a fresh random maximal matching every round,
@@ -91,7 +125,9 @@ class random_matching_schedule final : public alpha_schedule {
   [[nodiscard]] bool ranged_fill() const override { return true; }
   void begin_round(round_t t) const override;
   void fill_alphas(round_t t, real_t* out,
-                   const edge_slice& es) const override;
+                   const edge_slice& es) const override {
+    stamps_.fill(t, edge_alpha_, out, es);
+  }
 
   [[nodiscard]] std::unique_ptr<alpha_schedule> clone() const override;
 
@@ -103,13 +139,7 @@ class random_matching_schedule final : public alpha_schedule {
   const graph* g_;  // non-owning; the linear_process keeps the graph alive
   std::uint64_t seed_;
   std::vector<real_t> edge_alpha_;
-  // The sharded-fill round cache: begin_round(t) draws the round's matching
-  // (sequential — the greedy draw is inherently ordered and must stay
-  // byte-identical to the alphas() path) and leaves a sorted edge set for
-  // fill slices to binary-search. Mutable because drawing is caching, not
-  // observable state; written only in begin_round, before any slice runs.
-  mutable std::vector<edge_id> matched_;
-  mutable round_t matched_round_ = -1;
+  mutable detail::round_stamps stamps_;  // written only by begin_round
 };
 
 /// The general linear process: additive and terminating by construction

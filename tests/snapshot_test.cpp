@@ -24,7 +24,9 @@
 #include "dlb/core/engine.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
+#include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/graph/matching.hpp"
 #include "dlb/snapshot/snapshot.hpp"
 #include "dlb/workload/competitors.hpp"
 #include "dlb/workload/initial_load.hpp"
@@ -215,7 +217,7 @@ TEST(SnapshotFormatTest, RequireCheckpointableNamesTheComponent) {
   }
 }
 
-// ------------------------------------------- crash at every round, 5×{1,8}
+// ------------------------------------------- crash at every round, 7×{1,8}
 
 struct competitor_case {
   std::string name;
@@ -273,6 +275,26 @@ std::vector<competitor_case> all_competitors() {
              seed,
              random_walk_config{
                  .phase1_rounds = 5, .slack = 1, .laziness = 0.5});
+       }});
+  // The matching schedules keep a per-round stamp cache for the ranged α
+  // fill; a resumed process must rebuild it for its first round.
+  cases.push_back(
+      {"algorithm1_random_matchings",
+       [](std::shared_ptr<const graph> g, const speed_vector& s,
+          const std::vector<weight_t>& tokens, std::uint64_t seed) {
+         return std::make_unique<algorithm1>(
+             make_random_matching_process(g, s, seed),
+             task_assignment::tokens(tokens));
+       }});
+  cases.push_back(
+      {"round_down_periodic_matchings",
+       [](std::shared_ptr<const graph> g, const speed_vector& s,
+          const std::vector<weight_t>& tokens, std::uint64_t seed) {
+         return std::make_unique<local_rounding_process>(
+             g, s,
+             std::make_unique<periodic_matching_schedule>(
+                 *g, s, to_matchings(*g, misra_gries_edge_coloring(*g))),
+             rounding_policy::round_down, tokens, seed);
        }});
   return cases;
 }

@@ -10,7 +10,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -20,6 +22,7 @@
 #include "dlb/baselines/excess_tokens.hpp"
 #include "dlb/baselines/local_rounding.hpp"
 #include "dlb/baselines/random_walk_balancer.hpp"
+#include "dlb/common/contracts.hpp"
 #include "dlb/core/algorithm1.hpp"
 #include "dlb/core/algorithm2.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
@@ -214,10 +217,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ----------------------------------------------- sharded α-schedule fills
 
-// The matching models' ranged fill must reproduce the alphas() bits exactly:
-// continuous processes over periodic and random matching schedules, stepped
-// sequentially (plain alphas) vs steal-sharded (begin_round + fill slices),
-// must produce identical loads and cumulative flows every round.
+// Continuous processes over periodic and random matching schedules must step
+// bit-identically sequentially (the fill as one whole-range slice) and
+// steal-sharded on a 4-thread pool (the fill as chunked slices): identical
+// loads and cumulative flows every round. Both sides run begin_round + the
+// ranged fill; FillMatchesAlphasReference below checks that fill against
+// the plain alphas() path.
 TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
   const auto g = make_g(generators::hypercube(5));
   const speed_vector s = uniform_speeds(g->num_nodes());
@@ -257,6 +262,114 @@ TEST(ShardedAlphaScheduleTest, MatchingModelsBitEqualSequential) {
         return make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree));
       },
       "diffusion");
+}
+
+/// Drives a schedule's ranged fill through edge_phase exactly as the
+/// steppers do: begin_round(t), then fill_alphas over the phase's slices.
+class fill_harness final : public sharded_stepper {
+ public:
+  explicit fill_harness(std::shared_ptr<const graph> g) : g_(std::move(g)) {}
+
+  [[nodiscard]] std::vector<real_t> fill(const alpha_schedule& schedule,
+                                         round_t t) const {
+    // NaN sentinel: a slot no slice writes fails the bit compare.
+    std::vector<real_t> out(static_cast<std::size_t>(g_->num_edges()),
+                            std::numeric_limits<real_t>::quiet_NaN());
+    schedule.begin_round(t);
+    edge_phase([&](const edge_slice& es) {
+      schedule.fill_alphas(t, out.data(), es);
+    });
+    return out;
+  }
+
+  void real_load_extrema(node_id, node_id, real_t&, real_t&) const override {}
+
+ protected:
+  [[nodiscard]] const graph& shard_topology() const override { return *g_; }
+
+ private:
+  std::shared_ptr<const graph> g_;
+};
+
+bool same_bits(const std::vector<real_t>& a, const std::vector<real_t>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real_t)) == 0;
+}
+
+// The ranged fill (begin_round + fill_alphas) must equal the alphas()
+// reference bit for bit, for both matching schedules, as one whole-range
+// slice and as chunked slices on a 4-thread steal pool: rounds 0..40 in
+// order, then rewinds to 5 and 0 (restore revisits rounds), and a clone()
+// taken mid-run continuing on its own copy of the round cache. The torus
+// spans 4 chunks and a non-identity edge layout.
+TEST(ShardedAlphaScheduleTest, FillMatchesAlphasReference) {
+  const auto g = make_g(generators::torus_2d(160));
+  speed_vector s(static_cast<std::size_t>(g->num_nodes()));
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = 1 + static_cast<weight_t>(i % 3);  // distinct α per edge kind
+  }
+  const auto colours = to_matchings(*g, misra_gries_edge_coloring(*g));
+  ASSERT_GE(colours.size(), 3u);
+  // A periodic list where the edges of trimmed sit in two matchings, the
+  // trimmed-off edge in one, and every colour class from 2 on in none.
+  matching trimmed = colours[0];
+  trimmed.pop_back();
+  const std::vector<matching> uneven = {colours[0], colours[1], trimmed};
+
+  const auto check = [&](const alpha_schedule& schedule,
+                         const std::string& label) {
+    for (const bool sharded : {false, true}) {
+      fill_harness harness(g);
+      if (sharded) harness.enable_sharded_stepping(pool_context(*g, 4));
+      const std::string where = label + (sharded ? " s4" : " s1");
+      const std::unique_ptr<alpha_schedule> own = schedule.clone();
+      std::unique_ptr<alpha_schedule> mid_run;
+      std::vector<real_t> want;
+      const auto expect_round = [&](const alpha_schedule& sched, round_t t,
+                                    const std::string& who) {
+        sched.alphas(t, want);
+        ASSERT_TRUE(same_bits(harness.fill(sched, t), want))
+            << who << " round " << t;
+      };
+      for (round_t t = 0; t <= 40; ++t) {
+        expect_round(*own, t, where);
+        if (t == 20) mid_run = own->clone();
+      }
+      for (const round_t t : {5, 6, 0, 40}) expect_round(*own, t, where);
+      for (const round_t t : {20, 21, 33, 3, 0}) {
+        expect_round(*mid_run, t, where + " clone");
+      }
+    }
+  };
+
+  check(random_matching_schedule(*g, s, /*seed=*/9), "random");
+  check(periodic_matching_schedule(*g, s, colours), "periodic");
+  check(periodic_matching_schedule(*g, s, uneven), "periodic-uneven");
+}
+
+// A fill for round t without begin_round(t) reads another round's cache:
+// both schedules refuse it.
+TEST(ShardedAlphaScheduleTest, FillWithoutBeginRoundIsRejected) {
+  const auto g = make_g(generators::hypercube(4));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const random_matching_schedule random(*g, s, /*seed=*/3);
+  const periodic_matching_schedule periodic(
+      *g, s, to_matchings(*g, misra_gries_edge_coloring(*g)));
+  std::vector<real_t> out(static_cast<std::size_t>(g->num_edges()));
+  const edge_slice all(0, g->num_edges(), nullptr);
+  for (const alpha_schedule* schedule :
+       {static_cast<const alpha_schedule*>(&random),
+        static_cast<const alpha_schedule*>(&periodic)}) {
+    EXPECT_THROW(schedule->fill_alphas(0, out.data(), all),
+                 contract_violation)
+        << schedule->name();
+    schedule->begin_round(2);
+    EXPECT_THROW(schedule->fill_alphas(3, out.data(), all),
+                 contract_violation)
+        << schedule->name();
+    EXPECT_NO_THROW(schedule->fill_alphas(2, out.data(), all))
+        << schedule->name();
+  }
 }
 
 // ------------------------------------------------------- edge layout pass
