@@ -27,12 +27,12 @@
 #include <utility>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "dlb/core/diffusion_matrix.hpp"
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/coloring.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/runtime/experiment_grid.hpp"
 #include "dlb/runtime/result_sink.hpp"
 #include "dlb/runtime/thread_pool.hpp"
 
@@ -240,7 +240,7 @@ int main() {
     }
   }
 
-  bench::print_scaling_efficiency(rows, std::cout);
+  runtime::print_scaling_efficiency(rows, std::cout);
 
   const std::string path = "BENCH_micro.json";
   std::ofstream out(path);

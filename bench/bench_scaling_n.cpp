@@ -7,11 +7,16 @@
 // Alg1/Alg2 slopes ≈ 0, round-down slope > 0, largest on the arbitrary
 // family. Same cells: `dlb_run --grid scaling-n --n 512`.
 #include <algorithm>
+#include <fstream>
+#include <iostream>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
-#include "bench_common.hpp"
 #include "dlb/analysis/stats.hpp"
 #include "dlb/analysis/table.hpp"
+#include "dlb/runtime/grids.hpp"
 
 namespace {
 

@@ -7,6 +7,7 @@
 //           [--repeats 5] [--out results.json] [--table]
 //
 //   --grid        grid name (see --list); comma-separate to run several
+//                 (a name listed twice exits 2)
 //   --threads     worker threads (default: hardware concurrency)
 //   --shard-threads  threads stepping a single graph's shards (default 1;
 //                 every engine-driven grid honours it — rows are
@@ -17,12 +18,11 @@
 //                 runs every selected grid once per value, suffixing the
 //                 grid name with -s<k> — the twin-batch form the
 //                 parallel-efficiency regression gate compares
-//                 (bench/check_regression.py). Incompatible with
+//                 (bench/check_regression.py); with --table, a
+//                 scaling-efficiency table (speedup and efficiency of each
+//                 -s<k> cell over its -s1 twin) follows the grid views.
+//                 A value listed twice exits 2. Incompatible with
 //                 --checkpoint/--resume
-//   --cost-baseline  JSON rows file (e.g. bench/baselines/
-//                 perf_baseline.json) whose measured per-cell wall_ns seed
-//                 the scheduler's cost estimates; unknown cells keep the
-//                 analytic guess. Pure scheduling — output unchanged
 //   --stream      write rows as cells finish (cell order preserved, bytes
 //                 identical to the buffered path) instead of holding the
 //                 whole grid in memory; incompatible with --table
@@ -43,9 +43,6 @@
 //   --obs-summary print a human span/shard-skew/pool-utilization summary to
 //                 stderr after the grids finish (tools/summarize_trace.py is
 //                 the offline equivalent over a --trace file)
-//   --obs-summary-top  how many of the busiest worker tids the summary's
-//                 pool-utilization line names individually (default 8; the
-//                 rest fold into an explicit "+N more" aggregate)
 //   --obs-profile record hardware-counter deltas (cycles, instructions,
 //                 cache refs/misses, branch misses) on every span, fold the
 //                 per-shard spans into a skew report (stderr table), and
@@ -84,6 +81,7 @@
 #include <iostream>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -118,6 +116,16 @@ std::optional<unsigned> parse_thread_count(const std::string& text) {
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
   if (ec != std::errc() || ptr != end || v < 1) return std::nullopt;
   return v;
+}
+
+// The first value that occurs twice in `values`, if any.
+template <typename T>
+std::optional<T> first_repeat(const std::vector<T>& values) {
+  std::set<T> seen;
+  for (const T& v : values) {
+    if (!seen.insert(v).second) return v;
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -164,10 +172,9 @@ int main(int argc, char** argv) {
       shard_thread_list.push_back(*k);
     }
     if (shard_thread_list.empty()) shard_thread_list.push_back(1);
-    const std::string cost_baseline = args.get("cost-baseline", "");
+    const std::vector<std::string> grid_names = split_csv(grid_arg);
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
-    const std::int64_t summary_top = args.get_int("obs-summary-top", 8);
     const bool obs_profile =
         args.has("obs-profile") || args.has("obs-profile-out");
     const std::string profile_out =
@@ -199,6 +206,16 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << key << "\n";
       return 2;
     }
+    // A repeated value would run the same grid twice under one name, so
+    // (grid, cell) would stop being a unique row key.
+    if (const auto dup = first_repeat(grid_names)) {
+      std::cerr << "--grid lists '" << *dup << "' twice\n";
+      return 2;
+    }
+    if (const auto dup = first_repeat(shard_thread_list)) {
+      std::cerr << "--shard-threads lists " << *dup << " twice\n";
+      return 2;
+    }
     if (grid_arg.empty()) {
       std::cerr << "no grid selected; try `dlb_run --list` or "
                    "`dlb_run --grid table1`\n";
@@ -222,28 +239,11 @@ int main(int argc, char** argv) {
       std::cerr << "--checkpoint-every needs --checkpoint or --resume\n";
       return 2;
     }
-    if (summary_top < 1) {
-      std::cerr << "--obs-summary-top must be >= 1\n";
-      return 2;
-    }
-    if (args.has("obs-summary-top") && !obs_summary) {
-      std::cerr << "--obs-summary-top needs --obs-summary\n";
-      return 2;
-    }
     if (shard_thread_list.size() > 1 && !ckpt_path.empty()) {
       std::cerr << "--shard-threads with several values renames grids "
                    "(-s<k> suffixes), which the checkpoint fingerprint "
                    "cannot track; run the values separately\n";
       return 2;
-    }
-
-    std::shared_ptr<const runtime::cost_model> hints;
-    if (!cost_baseline.empty()) {
-      hints = std::make_shared<const runtime::cost_model>(
-          runtime::cost_model::from_file(cost_baseline));
-      std::cerr << "cost baseline: " << hints->size()
-                << " measured (grid, scenario, process) keys from "
-                << cost_baseline << "\n";
     }
 
     // One recorder per run: the cell pool, every cell's shard pool, and
@@ -258,20 +258,23 @@ int main(int argc, char** argv) {
                       : obs::recorder::counters::off);
     }
 
-    // Build every grid spec up front: an unknown grid name or bad config
-    // must fail *before* outputs are touched — opening --out truncates it,
-    // and a begun stream has already emitted its framing.
+    // Build and expand every grid spec up front: an unknown grid name or
+    // bad config (expand_grid checks repeats and rounds) must fail *before*
+    // outputs are touched — opening --out truncates it, and a begun stream
+    // has already emitted its framing.
     std::vector<runtime::grid_spec> specs;
-    for (const std::string& name : split_csv(grid_arg)) {
+    std::vector<std::size_t> cell_counts;
+    for (const std::string& name : grid_names) {
       for (const unsigned shard_threads : shard_thread_list) {
         opts.shard_threads = shard_threads;
         specs.push_back(runtime::make_named_grid(name, opts, master_seed));
         if (shard_thread_list.size() > 1) {
           specs.back().name += "-s" + std::to_string(shard_threads);
         }
-        specs.back().cost_hints = hints;
         specs.back().recorder = recorder.get();
         specs.back().obs_extras = obs_extras;
+        cell_counts.push_back(
+            runtime::expand_grid(specs.back(), master_seed).size());
       }
     }
 
@@ -328,9 +331,9 @@ int main(int argc, char** argv) {
     }
 
     std::vector<runtime::result_row> all_rows;
-    for (const runtime::grid_spec& spec : specs) {
-      std::cerr << "running grid '" << spec.name << "' ("
-                << runtime::expand_grid(spec, master_seed).size()
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const runtime::grid_spec& spec = specs[i];
+      std::cerr << "running grid '" << spec.name << "' (" << cell_counts[i]
                 << " cells, " << threads << " threads";
       if (spec.shard_threads > 1) {
         std::cerr << ", " << spec.shard_threads << " shard threads";
@@ -358,6 +361,7 @@ int main(int argc, char** argv) {
                       std::make_move_iterator(rows.begin()),
                       std::make_move_iterator(rows.end()));
     }
+    if (want_table) runtime::print_scaling_efficiency(all_rows, std::cerr);
 
     // Trace export + summary after every grid finished and the pools are
     // idle (the recorder's read-side contract). The rows above are already
@@ -382,11 +386,7 @@ int main(int argc, char** argv) {
         std::cerr << "wrote trace to " << trace_out << " and metrics to "
                   << sidecar_path << "\n";
       }
-      if (obs_summary) {
-        obs::summary_options sopts;
-        sopts.top_tids = static_cast<std::size_t>(summary_top);
-        obs::write_summary(std::cerr, *recorder, sopts);
-      }
+      if (obs_summary) obs::write_summary(std::cerr, *recorder);
       if (obs_profile) {
         const obs::prof::profile_report report =
             obs::prof::analyze_profile(*recorder);

@@ -127,8 +127,7 @@ void write_metrics_sidecar(std::ostream& os, const recorder& rec) {
   os << "\n]\n";
 }
 
-void write_summary(std::ostream& os, const recorder& rec,
-                   const summary_options& options) {
+void write_summary(std::ostream& os, const recorder& rec) {
   const std::vector<span_record> events = rec.events();
   if (events.empty()) {
     os << "obs: no spans recorded\n";
@@ -233,13 +232,15 @@ void write_summary(std::ostream& os, const recorder& rec,
   if (!pool_busy.empty()) {
     // A run with per-cell shard pools registers hundreds of mostly-idle
     // tids — show the busiest few, fold the rest into one aggregate.
+    // tools/summarize_trace.py names the same 8.
+    constexpr std::size_t top_tids = 8;
     std::vector<std::pair<std::int64_t, std::uint32_t>> busiest;
     for (const auto& [tid, busy] : pool_busy) busiest.push_back({busy, tid});
     std::sort(busiest.rbegin(), busiest.rend());
     os << "pool tasks: utilization over the " << std::setprecision(2)
        << wall_ms << " ms window (" << busiest.size() << " worker threads):";
     const std::size_t shown =
-        std::min<std::size_t>(busiest.size(), options.top_tids);
+        std::min<std::size_t>(busiest.size(), top_tids);
     for (std::size_t i = 0; i < shown; ++i) {
       os << " t" << busiest[i].second << "=" << std::setprecision(0)
          << (wall_ms > 0 ? 100.0 * ms(busiest[i].first) / wall_ms : 0.0)

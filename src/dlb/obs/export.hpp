@@ -25,18 +25,11 @@ void write_chrome_trace(std::ostream& os, const recorder& rec);
 /// to the trace file.
 void write_metrics_sidecar(std::ostream& os, const recorder& rec);
 
-/// Presentation knobs for write_summary.
-struct summary_options {
-  /// How many of the busiest worker tids the pool-utilization line names
-  /// individually (`--obs-summary-top`); the rest always fold into an
-  /// explicit "+N more totalling X ms" aggregate — never a silent cut.
-  std::size_t top_tids = 8;
-};
-
 /// Human summary: top span names by total time, per-phase shard skew
 /// (slowest shard vs mean shard), and pool-task utilization / queue-wait —
-/// what `dlb_run --obs-summary` prints to stderr.
-void write_summary(std::ostream& os, const recorder& rec,
-                   const summary_options& options = {});
+/// what `dlb_run --obs-summary` prints to stderr. The utilization line names
+/// the 8 busiest worker tids; the rest fold into an explicit "+N more
+/// totalling X ms" aggregate, never a silent cut.
+void write_summary(std::ostream& os, const recorder& rec);
 
 }  // namespace dlb::obs

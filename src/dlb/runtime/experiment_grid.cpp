@@ -1,10 +1,13 @@
 #include "dlb/runtime/experiment_grid.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <iomanip>
 #include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <ostream>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/rng.hpp"
@@ -103,21 +106,12 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
   constexpr std::uint64_t traffic_stream = 0x74726166666963ULL;  // "traffic"
   const std::uint64_t traffic_root = derive_seed(master_seed, traffic_stream);
   std::vector<grid_cell> cells;
-  std::vector<std::uint64_t> analytic;  // per cell, parallel to `cells`
   std::uint64_t index = 0;
   const auto push = [&](std::size_t g, std::size_t p) {
     const int reps = spec.processes[p].randomized ? spec.repeats : 1;
-    // Measured wall_ns from the cost model when the baseline has this
-    // (grid, scenario, process); the analytic n × rounds guess otherwise —
-    // rescaled after expansion so the two scales rank together.
-    const std::uint64_t measured =
-        spec.cost_hints != nullptr
-            ? spec.cost_hints->lookup(spec.name, spec.graphs[g].name,
-                                      spec.processes[p].name)
-            : 0;
-    const std::uint64_t analytic_cost =
-        static_cast<std::uint64_t>(spec.graphs[g].g->num_nodes()) *
-        expected_rounds;
+    const std::uint64_t cost = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(spec.graphs[g].g->num_nodes()) *
+               expected_rounds);
     for (int r = 0; r < reps; ++r) {
       // Competitor-independent: (graph, repetition) only, so rows compared
       // in one pivot column share their event streams.
@@ -126,37 +120,8 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
           static_cast<std::uint64_t>(g) * 0x10000ULL +
               static_cast<std::uint64_t>(r));
       cells.push_back(
-          {index, g, p, r, derive_seed(master_seed, index), traffic,
-           measured});
-      analytic.push_back(analytic_cost);
+          {index, g, p, r, derive_seed(master_seed, index), traffic, cost});
       ++index;
-    }
-  };
-  // Measured wall_ns and analytic n × rounds live on different scales; a
-  // raw mix would rank every measured cell (ns magnitudes) above every
-  // unmeasured one regardless of real cost. Calibrate: rescale unmeasured
-  // cells' analytic estimates by the mean ns-per-analytic-unit of the
-  // covered cells, so a partial baseline sharpens the longest-first order
-  // instead of inverting it. With no hints (or nothing covered) everything
-  // keeps the plain analytic estimate.
-  const auto calibrate = [&]() {
-    double measured_sum = 0;
-    double analytic_of_measured = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i].cost_estimate > 0) {
-        measured_sum += static_cast<double>(cells[i].cost_estimate);
-        analytic_of_measured += static_cast<double>(analytic[i]);
-      }
-    }
-    const double ratio = measured_sum > 0 && analytic_of_measured > 0
-                             ? measured_sum / analytic_of_measured
-                             : 1.0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (cells[i].cost_estimate == 0) {
-        cells[i].cost_estimate = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(analytic[i]) * ratio));
-      }
     }
   };
   if (!spec.pairs.empty()) {
@@ -164,7 +129,6 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
       DLB_EXPECTS(g < spec.graphs.size() && p < spec.processes.size());
       push(g, p);
     }
-    calibrate();
     return cells;
   }
   for (std::size_t g = 0; g < spec.graphs.size(); ++g) {
@@ -172,7 +136,6 @@ std::vector<grid_cell> expand_grid(const grid_spec& spec,
       push(g, p);
     }
   }
-  calibrate();
   return cells;
 }
 
@@ -356,14 +319,64 @@ analysis::ascii_table render_view(const grid_spec& spec,
 
 namespace {
 
+/// Splits a `-s<k>` shard-thread suffix off a grid name. Returns (base
+/// name, k); k = 0 when the name carries no such suffix.
+std::pair<std::string, unsigned> split_shard_suffix(const std::string& grid) {
+  const std::size_t pos = grid.rfind("-s");
+  if (pos == std::string::npos || pos + 2 >= grid.size()) return {grid, 0};
+  unsigned k = 0;
+  for (std::size_t i = pos + 2; i < grid.size(); ++i) {
+    if (grid[i] < '0' || grid[i] > '9') return {grid, 0};
+    k = k * 10 + static_cast<unsigned>(grid[i] - '0');
+  }
+  return {grid.substr(0, pos), k};
+}
+
+}  // namespace
+
+void print_scaling_efficiency(const std::vector<result_row>& rows,
+                              std::ostream& os) {
+  // (base grid, cell) -> (k -> wall_ns)
+  std::map<std::pair<std::string, std::uint64_t>,
+           std::map<unsigned, std::int64_t>>
+      twins;
+  for (const result_row& row : rows) {
+    const auto [base, k] = split_shard_suffix(row.grid);
+    if (k >= 1) twins[{base, row.cell}][k] = row.wall_ns;
+  }
+  bool header = false;
+  for (const auto& [key, by_k] : twins) {
+    const auto s1 = by_k.find(1);
+    if (s1 == by_k.end() || by_k.size() < 2) continue;
+    if (!header) {
+      os << "\n=== scaling efficiency (speedup vs -s1, efficiency = "
+            "speedup / threads) ===\n";
+      header = true;
+    }
+    os << "  " << std::left << std::setw(28)
+       << (key.first + "/cell" + std::to_string(key.second)) << std::right;
+    for (const auto& [k, wall] : by_k) {
+      if (k == 1 || wall <= 0) continue;
+      const double speedup = static_cast<double>(s1->second) /
+                             static_cast<double>(wall);
+      char col[64];
+      std::snprintf(col, sizeof(col), "  s%u: %.2fx (eff %.2f)", k, speedup,
+                    speedup / static_cast<double>(k));
+      os << col;
+    }
+    os << "\n";
+  }
+}
+
+namespace {
+
 /// Shared grid prologue: resolve the trace prototype (parse the file once —
 /// cells take O(1) copies), expand the cells, and compute the longest-first
 /// submission order. The pool hands out indices in order, so sorting by
 /// descending cost estimate keeps the most expensive cells from landing
-/// last and stretching the tail. Ties (and static grids without cost hints,
-/// whose estimate is just n) fall back to cell order; the order is pure
-/// scheduling — both drivers below restore canonical cell order in their
-/// output.
+/// last and stretching the tail. Ties (static grids, whose estimate is just
+/// n) fall back to cell order; the order is pure scheduling — both drivers
+/// below restore canonical cell order in their output.
 struct grid_run_setup {
   const grid_spec* active;
   grid_spec with_trace;  // storage when a trace prototype had to be parsed

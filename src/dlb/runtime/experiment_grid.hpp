@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,7 +20,6 @@
 #include "dlb/common/types.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/obs/recorder.hpp"
-#include "dlb/runtime/cost_model.hpp"
 #include "dlb/runtime/result_sink.hpp"
 #include "dlb/runtime/thread_pool.hpp"
 #include "dlb/workload/competitors.hpp"
@@ -44,8 +44,7 @@ enum class arrival_pattern {
   bursts,   ///< burst_size tokens on burst_target every burst_period rounds
 };
 
-/// How `dlb_run --table` (and the bench wrappers) should pivot a grid's
-/// rows into an ascii table.
+/// How `dlb_run --table` should pivot a grid's rows into an ascii table.
 enum class table_view {
   discrepancy,       ///< process × scenario → final max-min discrepancy
   mean_discrepancy,  ///< process × scenario → steady mean max-min (dynamic)
@@ -101,12 +100,6 @@ struct grid_spec {
   /// --threads / --shard-threads (ranges partition the full entity sets and
   /// token movement is the processes' own integer accounting).
   bool obs_extras = false;
-
-  /// Measured cost hints (`--cost-baseline`): when set, expand_grid stamps
-  /// cells whose (grid, scenario, process) appears in the model with its
-  /// mean measured wall_ns instead of the analytic n × rounds estimate.
-  /// Pure scheduling — output bytes unchanged.
-  std::shared_ptr<const cost_model> cost_hints;
 
   /// Explicit (graph_index, process_index) cell list. Empty means the full
   /// graphs × processes cross product; study grids whose process variants
@@ -207,8 +200,17 @@ std::uint64_t run_grid_streaming(
     const std::function<void(const result_row&)>& emit);
 
 /// Pivots rows into the grid's declared table shape (spec.view) — the table
-/// `dlb_run --table` and the bench wrappers print.
+/// `dlb_run --table` prints.
 [[nodiscard]] analysis::ascii_table render_view(
     const grid_spec& spec, const std::vector<result_row>& rows);
+
+/// Scaling-efficiency table over twin-batch rows (`--shard-threads 1,k`
+/// suffixes grid names `-s1`, `-s<k>`): for every (base grid, cell) that has
+/// an `-s1` row, each `-s<k>` (k > 1) twin contributes a speedup
+/// (wall_s1 / wall_sk) and a parallel efficiency (speedup / k), the quantity
+/// bench/check_regression.py tracks against the baseline. Prints nothing
+/// when the rows hold no twin pairs.
+void print_scaling_efficiency(const std::vector<result_row>& rows,
+                              std::ostream& os);
 
 }  // namespace dlb::runtime

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Command-line input checks for dlb_run.
 
-Every bad thread count must fail with a one-line error and exit status 2
-before any work starts, and the removed shard-plan flags must be rejected as
-unknown arguments rather than silently accepted. A path flag given without
-a value must fail with a one-line error instead of writing a file named
-`true`. A traced, summarized and profiled run (forced fallback backend) must
-leave stdout byte-identical to the plain run, print exactly one fallback
-notice, and produce artifacts the offline tools accept. Run as:
+Every bad thread count and every repeated --grid or --shard-threads value
+must fail with a one-line error and exit status 2 before any work starts,
+and removed flags must be rejected as unknown arguments rather than silently
+accepted. A path flag given without a value must fail with a one-line error
+instead of writing a file named `true`. A bad grid config must fail before
+--stream touches stdout or an existing --out file. --table over a
+--shard-threads list must print the scaling-efficiency table on stderr and
+leave stdout alone. A traced, summarized and profiled run (forced fallback
+backend) must leave stdout byte-identical to the plain run, print exactly
+one fallback notice, and produce artifacts the offline tools accept. Run as:
 
     tests/dlb_run_cli_test.py <path-to-dlb_run>
 
@@ -23,7 +26,8 @@ import tempfile
 
 TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 
-# (argv after --grid table1, expected exit status, expected stderr line)
+# (argv after --grid table1 unless it names its own --grid, expected exit
+# status, expected stderr line)
 REJECTED = [
     (["--shard-threads", "-1"], 2,
      "--shard-threads values must be integers >= 1, got '-1'"),
@@ -35,12 +39,19 @@ REJECTED = [
      "--shard-threads values must be integers >= 1, got '-1'"),
     (["--threads", "-1"], 2, "--threads must be an integer >= 1, got '-1'"),
     (["--threads", "2x"], 2, "--threads must be an integer >= 1, got '2x'"),
+    # A repeated value would emit repeated (grid, cell) keys.
+    (["--shard-threads", "2,2"], 2, "--shard-threads lists 2 twice"),
+    (["--grid", "table1,table1"], 2, "--grid lists 'table1' twice"),
 ] + [
-    # Flags removed with the static runner and the degree-weighted cut. The
-    # names are joined from parts so that a grep of the tree for them stays
-    # empty: this file is the only place they may still appear.
-    ([f"--shard-{knob}", value], 2, f"unknown argument: shard-{knob}")
-    for knob, value in (("runner", "static"), ("balance", "edges"))
+    # Removed flags: the static runner and the degree-weighted cut, the
+    # measured-cost scheduling hint, and the summary's tid count. The names
+    # are joined from parts so that a grep of the tree for them stays empty:
+    # this file is the only place they may still appear.
+    ([f"--{flag}", value], 2, f"unknown argument: {flag}")
+    for flag, value in ((f"shard-{'runner'}", "static"),
+                        (f"shard-{'balance'}", "edges"),
+                        (f"cost-{'baseline'}", "rows.json"),
+                        (f"obs-summary-{'top'}", "4"))
 ]
 
 # A tiny valid run: well-formed thread counts must still be accepted.
@@ -57,12 +68,12 @@ BARE_PATHS = [
     ["--checkpoint"],
     ["--resume"],
     ["--replay-trace"],
-    ["--cost-baseline"],
 ]
 
 
 def run(dlb_run, extra, cwd=None, env=None):
-    return subprocess.run([dlb_run, "--grid", "table1", *extra],
+    grid = [] if "--grid" in extra else ["--grid", "table1"]
+    return subprocess.run([dlb_run, *grid, *extra],
                           capture_output=True, text=True, timeout=120,
                           cwd=cwd, env=env)
 
@@ -95,6 +106,41 @@ def check_bare_paths(dlb_run, failures):
             if os.listdir(tmp):
                 failures.append(f"{label}: created {sorted(os.listdir(tmp))}")
     return len(BARE_PATHS)
+
+
+def check_bad_config_under_stream(dlb_run, failures):
+    """--repeats 0 is refused before --stream writes its framing to stdout or
+    truncates an existing --out file."""
+    label = "--repeats 0 --stream --out keep.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        keep = pathlib.Path(tmp) / "keep.json"
+        keep.write_text("previous results\n")
+        r = run(dlb_run, ["--n", "16", "--repeats", "0", "--stream",
+                          "--out", "keep.json"], cwd=tmp)
+        if r.returncode == 0:
+            failures.append(f"{label}: exit 0, want nonzero")
+        if r.stdout:
+            failures.append(f"{label}: wrote to stdout: {r.stdout[:80]!r}")
+        if keep.read_text() != "previous results\n":
+            failures.append(f"{label}: --out file changed to "
+                            f"{keep.read_text()[:80]!r}")
+    return 1
+
+
+def check_scaling_table(dlb_run, untabled, failures):
+    """--table after a --shard-threads list prints the scaling-efficiency
+    table on stderr; stdout stays the bytes of the run without --table."""
+    r = run(dlb_run, ACCEPTED + ["--table"])
+    if r.returncode != 0:
+        failures.append(f"scaling table: exit {r.returncode}, stderr "
+                        f"{r.stderr[-200:]!r}")
+        return 1
+    if "=== scaling efficiency (speedup vs -s1" not in r.stderr:
+        failures.append("scaling table: no scaling-efficiency header on "
+                        "stderr")
+    if r.stdout != untabled:
+        failures.append("scaling table: --table changed stdout")
+    return 1
 
 
 def check_obs_tools(dlb_run, plain, failures):
@@ -136,11 +182,14 @@ def main():
     failures = []
     checks = check_rejected(dlb_run, failures)
     checks += check_bare_paths(dlb_run, failures)
+    checks += check_bad_config_under_stream(dlb_run, failures)
     r = run(dlb_run, ACCEPTED)
     checks += 1
     if r.returncode != 0 or not r.stdout.startswith("["):
         failures.append(f"valid run: exit {r.returncode}, stderr "
                         f"{r.stderr[-200:]!r}")
+    else:
+        checks += check_scaling_table(dlb_run, r.stdout, failures)
     plain = run(dlb_run, TINY)
     checks += 1
     if plain.returncode != 0:

@@ -322,19 +322,23 @@ TEST(ObsExportTest, MetricsSidecarCarriesPerCellCounters) {
   EXPECT_NE(text.find("\"process\""), std::string::npos);
 }
 
-TEST(ObsExportTest, SummaryTopTidsIsConfigurable) {
-  // Four worker threads, each with one pool_task span of a distinct
-  // duration. top_tids = 2 must show the two busiest and fold the other
-  // two into one aggregate; the default (8) shows all four.
-  obs::recorder rec;
-  std::vector<std::thread> workers;
-  for (int i = 1; i <= 4; ++i) {
-    workers.emplace_back([&rec, i] {
-      rec.complete("pool_task", /*ts_ns=*/0, /*dur_ns=*/i * 1000000);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-
+TEST(ObsExportTest, SummaryNamesTheEightBusiestTids) {
+  // One pool_task span of a distinct duration per worker thread. With 10
+  // workers the summary must name the 8 busiest and fold the other two into
+  // one aggregate; with 4 it names all of them and folds nothing.
+  const auto summarize = [](int workers) {
+    obs::recorder rec;
+    std::vector<std::thread> threads;
+    for (int i = 1; i <= workers; ++i) {
+      threads.emplace_back([&rec, i] {
+        rec.complete("pool_task", /*ts_ns=*/0, /*dur_ns=*/i * 1000000);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    std::ostringstream os;
+    obs::write_summary(os, rec);
+    return os.str();
+  };
   const auto tid_entries = [](const std::string& text) {
     std::size_t count = 0;
     for (std::size_t pos = text.find(" t"); pos != std::string::npos;
@@ -347,18 +351,15 @@ TEST(ObsExportTest, SummaryTopTidsIsConfigurable) {
     return count;
   };
 
-  obs::summary_options top2;
-  top2.top_tids = 2;
-  std::ostringstream capped;
-  obs::write_summary(capped, rec, top2);
-  EXPECT_NE(capped.str().find("4 worker threads"), std::string::npos);
-  EXPECT_EQ(tid_entries(capped.str()), 2u) << capped.str();
-  EXPECT_NE(capped.str().find("+2 more"), std::string::npos) << capped.str();
+  const std::string capped = summarize(10);
+  EXPECT_NE(capped.find("10 worker threads"), std::string::npos) << capped;
+  EXPECT_EQ(tid_entries(capped), 8u) << capped;
+  EXPECT_NE(capped.find("+2 more"), std::string::npos) << capped;
 
-  std::ostringstream full;
-  obs::write_summary(full, rec);
-  EXPECT_EQ(tid_entries(full.str()), 4u) << full.str();
-  EXPECT_EQ(full.str().find("more"), std::string::npos) << full.str();
+  const std::string full = summarize(4);
+  EXPECT_NE(full.find("4 worker threads"), std::string::npos) << full;
+  EXPECT_EQ(tid_entries(full), 4u) << full;
+  EXPECT_EQ(full.find("more"), std::string::npos) << full;
 }
 
 TEST(ObsExportTest, SummaryReportsShardSkewAndPhases) {
