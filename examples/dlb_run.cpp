@@ -7,7 +7,7 @@
 //           [--repeats 5] [--out results.json] [--table]
 //
 //   --grid        grid name (see --list); comma-separate to run several
-//                 (a name listed twice exits 2)
+//                 (an empty item or a name listed twice exits 2)
 //   --threads     worker threads (default: hardware concurrency)
 //   --shard-threads  threads stepping a single graph's shards (default 1;
 //                 every engine-driven grid honours it — rows are
@@ -76,10 +76,13 @@
 // with wall_ns masked to 0, so the bytes are identical for any --threads
 // value: grid cells derive their RNG streams from (master seed, cell index),
 // never from scheduling. Use --out for the timing-bearing variant.
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -98,14 +101,53 @@ namespace {
 
 using namespace dlb;
 
+// Every comma-separated item, empty ones included ("a,,b" has three), so
+// the caller can refuse them instead of reading "1,,2" as "1,2".
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
+  std::size_t begin = 0;
+  for (std::size_t comma; (comma = text.find(',', begin)) != std::string::npos;
+       begin = comma + 1) {
+    out.push_back(text.substr(begin, comma - begin));
   }
+  out.push_back(text.substr(begin));
   return out;
+}
+
+// Reads an integer flag into `field` when it lies in [lo, max of the
+// field's type]; otherwise prints one line and returns false, so a value is
+// never narrowed or wrapped.
+template <typename T>
+bool read_int(const analysis::arg_map& args, const std::string& key,
+              T& field, std::int64_t lo) {
+  constexpr std::int64_t hi = std::numeric_limits<T>::max();
+  const std::int64_t v = args.get_int(key, field);
+  if (v >= lo && v <= hi) {
+    field = static_cast<T>(v);
+    return true;
+  }
+  std::cerr << "--" << key << " must be an integer ";
+  if (hi == std::numeric_limits<std::int64_t>::max()) {
+    std::cerr << ">= " << lo;
+  } else {
+    std::cerr << "in [" << lo << ", " << hi << "]";
+  }
+  std::cerr << ", got " << v << "\n";
+  return false;
+}
+
+// Reads a real flag into `field` when it is finite and above `lo` (or equal
+// to it, when `lo_allowed`); otherwise prints one line and returns false.
+bool read_real(const analysis::arg_map& args, const std::string& key,
+               double& field, double lo, bool lo_allowed) {
+  const double v = args.get_real(key, field);
+  if (std::isfinite(v) && (v > lo || (lo_allowed && v == lo))) {
+    field = v;
+    return true;
+  }
+  std::cerr << "--" << key << " must be a finite number "
+            << (lo_allowed ? ">= " : "> ") << lo << ", got " << v << "\n";
+  return false;
 }
 
 // A thread count: a whole-token decimal integer >= 1. "-1", "8x", "0" and
@@ -142,19 +184,21 @@ int main(int argc, char** argv) {
     }
 
     const std::string grid_arg = args.get("grid", "");
+    // Every grid option is range-checked here, before any output opens:
+    // a cell body that refused a value would fail only after --stream had
+    // begun or --out had been truncated.
     runtime::grid_options opts;
-    opts.target_n = static_cast<node_id>(args.get_int("n", opts.target_n));
-    opts.repeats = static_cast<int>(args.get_int("repeats", opts.repeats));
-    opts.spike_per_node =
-        args.get_int("spike-per-node", opts.spike_per_node);
-    opts.dynamic_rounds =
-        args.get_int("dynamic-rounds", opts.dynamic_rounds);
-    opts.arrivals_per_round =
-        args.get_int("arrivals-per-round", opts.arrivals_per_round);
-    opts.burst_size = args.get_int("burst-size", opts.burst_size);
-    opts.burst_period = args.get_int("burst-period", opts.burst_period);
-    opts.arrival_rate = args.get_real("arrival-rate", opts.arrival_rate);
-    opts.service_rate = args.get_real("service-rate", opts.service_rate);
+    const bool options_ok =
+        read_int(args, "n", opts.target_n, 1) &&
+        read_int(args, "repeats", opts.repeats, 1) &&
+        read_int(args, "spike-per-node", opts.spike_per_node, 0) &&
+        read_int(args, "dynamic-rounds", opts.dynamic_rounds, 1) &&
+        read_int(args, "arrivals-per-round", opts.arrivals_per_round, 0) &&
+        read_int(args, "burst-size", opts.burst_size, 0) &&
+        read_int(args, "burst-period", opts.burst_period, 1) &&
+        read_real(args, "arrival-rate", opts.arrival_rate, 0, false) &&
+        read_real(args, "service-rate", opts.service_rate, 0, true);
+    if (!options_ok) return 2;
     opts.trace_path = args.get("replay-trace", opts.trace_path);
     // --shard-threads accepts a comma list: each value runs every selected
     // grid once, with the grid name suffixed -s<k> when more than one value
@@ -171,7 +215,6 @@ int main(int argc, char** argv) {
       }
       shard_thread_list.push_back(*k);
     }
-    if (shard_thread_list.empty()) shard_thread_list.push_back(1);
     const std::vector<std::string> grid_names = split_csv(grid_arg);
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
@@ -206,6 +249,16 @@ int main(int argc, char** argv) {
       std::cerr << "unknown argument: " << key << "\n";
       return 2;
     }
+    if (grid_arg.empty()) {
+      std::cerr << "no grid selected; try `dlb_run --list` or "
+                   "`dlb_run --grid table1`\n";
+      return 2;
+    }
+    if (std::find(grid_names.begin(), grid_names.end(), "") !=
+        grid_names.end()) {
+      std::cerr << "--grid has an empty item in '" << grid_arg << "'\n";
+      return 2;
+    }
     // A repeated value would run the same grid twice under one name, so
     // (grid, cell) would stop being a unique row key.
     if (const auto dup = first_repeat(grid_names)) {
@@ -214,11 +267,6 @@ int main(int argc, char** argv) {
     }
     if (const auto dup = first_repeat(shard_thread_list)) {
       std::cerr << "--shard-threads lists " << *dup << " twice\n";
-      return 2;
-    }
-    if (grid_arg.empty()) {
-      std::cerr << "no grid selected; try `dlb_run --list` or "
-                   "`dlb_run --grid table1`\n";
       return 2;
     }
     if (stream && want_table) {
@@ -258,10 +306,10 @@ int main(int argc, char** argv) {
                       : obs::recorder::counters::off);
     }
 
-    // Build and expand every grid spec up front: an unknown grid name or
-    // bad config (expand_grid checks repeats and rounds) must fail *before*
-    // outputs are touched — opening --out truncates it, and a begun stream
-    // has already emitted its framing.
+    // Build and expand every grid spec up front: an unknown grid name, a bad
+    // config (expand_grid checks repeats and rounds) or a bad replay trace
+    // must fail *before* outputs are touched — opening --out truncates it,
+    // and a begun stream has already emitted its framing.
     std::vector<runtime::grid_spec> specs;
     std::vector<std::size_t> cell_counts;
     for (const std::string& name : grid_names) {
@@ -273,6 +321,7 @@ int main(int argc, char** argv) {
         }
         specs.back().recorder = recorder.get();
         specs.back().obs_extras = obs_extras;
+        specs.back().trace_proto = runtime::load_replay_trace(specs.back());
         cell_counts.push_back(
             runtime::expand_grid(specs.back(), master_seed).size());
       }

@@ -120,7 +120,8 @@ void random_walk_balancer::clear_walks_phase(const edge_slice& es) {
 }
 
 // Fine phase 1 (per origin node): every walker takes one lazy random-walk
-// step. A node's walkers draw sequentially from one counter-based stream
+// step. Independent steps make a node's walkers of one sign a single
+// multinomial over {stay, neighbours}, drawn from one counter-based stream
 // keyed (seed, t, i) — positives first, then negatives — so the draws are
 // independent of the node partition. Moves land in the origin's direction
 // slot of the crossed edge (single writer); stays land in the origin's own
@@ -136,28 +137,40 @@ void random_walk_balancer::walk_phase(node_id i0, node_id i1) {
     if (positive_[idx] == 0 && negative_[idx] == 0) continue;
     counter_rng rng(round_seed, static_cast<std::uint64_t>(i));
     const auto nbrs = g.neighbors(i);
-    const auto walk_one = [&]() -> const incidence* {
-      if (nbrs.empty() || bernoulli(rng, cfg_.laziness)) return nullptr;
-      const auto pick = static_cast<std::size_t>(uniform_int<std::int64_t>(
-          rng, 0, static_cast<std::int64_t>(nbrs.size()) - 1));
-      return &nbrs[pick];
+    const auto deg = static_cast<weight_t>(nbrs.size());
+    // Splits k walkers of one sign and returns the stayers (the draw order
+    // in the header). A uniform pick costs about a tenth of a small-mean
+    // binomial, so picks win below 8 movers per neighbour.
+    const auto split = [&](weight_t k, weight_t walk_counts::*from_u,
+                           weight_t walk_counts::*from_v) {
+      if (deg == 0) return k;
+      const auto send = [&](const incidence& inc, weight_t count) {
+        walks_[static_cast<size_t>(inc.edge)].*
+            (inc.neighbor > i ? from_u : from_v) += count;
+      };
+      const weight_t stay = binomial(rng, k, cfg_.laziness);
+      weight_t rest = k - stay;
+      if (rest < 8 * deg) {
+        for (; rest > 0; --rest) {
+          send(nbrs[static_cast<std::size_t>(
+                   uniform_int<weight_t>(rng, 0, deg - 1))],
+               1);
+        }
+      }
+      for (weight_t j = 0; rest > 0; ++j) {
+        const weight_t moved =
+            j == deg - 1
+                ? rest
+                : binomial(rng, rest, 1.0 / static_cast<double>(deg - j));
+        send(nbrs[static_cast<std::size_t>(j)], moved);
+        rest -= moved;
+      }
+      return stay;
     };
-    for (weight_t k = 0; k < positive_[idx]; ++k) {
-      if (const incidence* inc = walk_one(); inc != nullptr) {
-        walk_counts& w = walks_[static_cast<size_t>(inc->edge)];
-        (inc->neighbor > i ? w.pos_from_u : w.pos_from_v) += 1;
-      } else {
-        ++stay_pos_[idx];
-      }
-    }
-    for (weight_t k = 0; k < negative_[idx]; ++k) {
-      if (const incidence* inc = walk_one(); inc != nullptr) {
-        walk_counts& w = walks_[static_cast<size_t>(inc->edge)];
-        (inc->neighbor > i ? w.neg_from_u : w.neg_from_v) += 1;
-      } else {
-        ++stay_neg_[idx];
-      }
-    }
+    stay_pos_[idx] = split(positive_[idx], &walk_counts::pos_from_u,
+                           &walk_counts::pos_from_v);
+    stay_neg_[idx] = split(negative_[idx], &walk_counts::neg_from_u,
+                           &walk_counts::neg_from_v);
   }
 }
 

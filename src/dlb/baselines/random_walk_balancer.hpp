@@ -14,12 +14,19 @@
 //  reaches constant max-min discrepancy in O(T) rounds; as the paper notes,
 //  too many negative tokens landing on one node can push its load negative.
 //
-// A node's walkers draw from one counter-based stream keyed (seed, t, i) —
-// positive walkers first, then negative, the sequential visit order — so a
-// walker's step never depends on which shard visits its node. Moves are
-// recorded in per-(edge, direction) slots (single writer: the walker's
-// origin node) and folded per destination node — the shared sharded-stepper
-// protocol, bit-identical at any shard count (core/sharding.hpp).
+// Walkers step independently, so all of a node's walkers of one sign move
+// as one multinomial over {stay, neighbours}. A node draws that split from
+// one counter-based stream keyed (seed, t, i), positive walkers first, then
+// negative. stay ~ Bin(k, laziness); a degree-0 node keeps every walker.
+// The movers are uniform over the neighbours: with fewer than 8 movers per
+// neighbour each picks its neighbour with one uniform draw, otherwise
+// neighbour j in incidence order takes Bin(rest, 1/(deg-j)) and the last
+// neighbour the remainder. Either way that is O(degree) draws per node per
+// sign, not one per walker, and a node's split never depends on which
+// shard visits it. Moves are recorded in per-(edge, direction) slots
+// (single writer: the walker's origin node) and folded per destination
+// node — the shared sharded-stepper protocol, bit-identical at any shard
+// count (core/sharding.hpp).
 #pragma once
 
 #include <cstdint>
@@ -108,9 +115,10 @@ class random_walk_balancer final : public discrete_process,
   void coarse_flow_phase(const edge_slice& es);
   void coarse_apply_phase(node_id i0, node_id i1);
 
-  // Fine phases: clear walk slots (per edge), walk every token (per origin
-  // node, counter-based draws), apply moves + annihilate (per node; returns
-  // the shard's negative-load event count).
+  // Fine phases: clear walk slots (per edge), split each node's walkers
+  // over {stay, neighbours} (per origin node, counter-based draws), apply
+  // moves + annihilate (per node; returns the shard's negative-load event
+  // count).
   void clear_walks_phase(const edge_slice& es);
   void walk_phase(node_id i0, node_id i1);
   [[nodiscard]] std::int64_t settle_phase(node_id i0, node_id i1);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <utility>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/rng.hpp"
@@ -33,12 +34,28 @@ struct shard_rig {
   std::shared_ptr<const shard_context> ctx;
 };
 
-/// Builds one cell's trace source (from the grid-level pre-parsed events
-/// when available, else straight from the file) and validates it against
-/// this cell's scenario: no service events on grids without a service model
-/// (mixed drain support would corrupt the cross-process comparison), and
-/// every node id in range — a bad trace must fail here with the file named,
-/// not cells later inside a worker's inject_tokens precondition.
+/// Validates a replay trace against one scenario of `spec`: no service
+/// events on grids without a service model (mixed drain support would
+/// corrupt the cross-process comparison), and every node id in range — a bad
+/// trace must fail with the file named, not cells later inside a worker's
+/// inject_tokens precondition.
+void check_trace_fits(const grid_spec& spec, const events::trace_source& trace,
+                      node_id n) {
+  if (spec.service_rate <= 0 && trace.has_service_events()) {
+    throw contract_violation(
+        "trace " + spec.trace_path + " carries service events, but grid " +
+        spec.name + " has no service model (use async-service)");
+  }
+  if (trace.max_node() >= n) {
+    throw contract_violation(
+        "trace " + spec.trace_path + " names node " +
+        std::to_string(trace.max_node()) + ", but scenario has only " +
+        std::to_string(n) + " nodes");
+  }
+}
+
+/// Builds one cell's trace source, from the grid-level pre-parsed events
+/// when available, else straight from the file.
 std::unique_ptr<events::trace_source> make_cell_trace(const grid_spec& spec,
                                                       node_id n) {
   // Copying the prototype is O(1): the parsed events are shared and the
@@ -46,17 +63,7 @@ std::unique_ptr<events::trace_source> make_cell_trace(const grid_spec& spec,
   auto trace = spec.trace_proto != nullptr
                    ? std::make_unique<events::trace_source>(*spec.trace_proto)
                    : events::load_trace(spec.trace_path);
-  if (spec.service_rate <= 0 && trace->has_service_events()) {
-    throw contract_violation(
-        "trace " + spec.trace_path + " carries service events, but grid " +
-        spec.name + " has no service model (use async-service)");
-  }
-  if (trace->max_node() >= n) {
-    throw contract_violation(
-        "trace " + spec.trace_path + " names node " +
-        std::to_string(trace->max_node()) + ", but scenario has only " +
-        std::to_string(n) + " nodes");
-  }
+  check_trace_fits(spec, *trace, n);
   return trace;
 }
 
@@ -85,6 +92,19 @@ shard_rig make_shard_rig(const graph& g, unsigned shard_threads,
 }
 
 }  // namespace
+
+std::shared_ptr<const events::trace_source> load_replay_trace(
+    const grid_spec& spec) {
+  if (spec.kind != grid_kind::async_events || spec.trace_path.empty()) {
+    return nullptr;
+  }
+  std::shared_ptr<const events::trace_source> trace =
+      events::load_trace(spec.trace_path);
+  for (const workload::graph_case& gc : spec.graphs) {
+    check_trace_fits(spec, *trace, gc.g->num_nodes());
+  }
+  return trace;
+}
 
 std::vector<grid_cell> expand_grid(const grid_spec& spec,
                                    std::uint64_t master_seed) {
@@ -388,13 +408,12 @@ grid_run_setup prepare_grid_run(const grid_spec& spec,
                                 std::uint64_t master_seed) {
   grid_run_setup setup;
   setup.active = &spec;
-  if (spec.kind == grid_kind::async_events && !spec.trace_path.empty() &&
-      spec.trace_proto == nullptr) {
-    setup.with_trace = spec;
-    setup.with_trace.trace_proto =
-        std::shared_ptr<const events::trace_source>(
-            events::load_trace(spec.trace_path));
-    setup.active = &setup.with_trace;
+  if (spec.trace_proto == nullptr) {
+    if (auto proto = load_replay_trace(spec)) {
+      setup.with_trace = spec;
+      setup.with_trace.trace_proto = std::move(proto);
+      setup.active = &setup.with_trace;
+    }
   }
   setup.cells = expand_grid(*setup.active, master_seed);
   setup.order.resize(setup.cells.size());

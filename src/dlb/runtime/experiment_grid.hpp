@@ -139,10 +139,11 @@ struct grid_spec {
   std::string trace_path;   ///< replay `(time, node, count)` events from
                             ///< this file as an extra source (empty = none)
   /// Pre-parsed trace prototype. run_grid fills this once from trace_path
-  /// before fanning out; each cell then takes an O(1) copy (the parsed
-  /// events are immutable and shared) instead of re-opening and re-parsing
-  /// the file. run_cell falls back to loading from trace_path when unset
-  /// (direct single-cell callers).
+  /// (load_replay_trace) before fanning out, unless the caller already did;
+  /// each cell then takes an O(1) copy (the parsed events are immutable and
+  /// shared) instead of re-opening and re-parsing the file. run_cell falls
+  /// back to loading from trace_path when unset (direct single-cell
+  /// callers).
   std::shared_ptr<const events::trace_source> trace_proto;
 };
 
@@ -168,6 +169,14 @@ struct grid_cell {
   /// started last (grid-level scheduling).
   std::uint64_t cost_estimate = 0;
 };
+
+/// Parses the replay trace of an async grid (nullptr for any other grid or
+/// when trace_path is empty) and checks it against every scenario of the
+/// spec, throwing contract_violation with the file named. run_grid calls it
+/// when trace_proto is unset; a caller that must fail before opening its
+/// outputs calls it first and stores the result in trace_proto.
+[[nodiscard]] std::shared_ptr<const events::trace_source> load_replay_trace(
+    const grid_spec& spec);
 
 /// Expands a spec into its cell list. Pure and deterministic.
 [[nodiscard]] std::vector<grid_cell> expand_grid(const grid_spec& spec,

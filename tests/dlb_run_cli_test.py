@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Command-line input checks for dlb_run.
 
-Every bad thread count and every repeated --grid or --shard-threads value
-must fail with a one-line error and exit status 2 before any work starts,
+Every bad thread count, every empty or repeated --grid or --shard-threads
+item, and every out-of-range grid option (including values that would wrap
+when narrowed) must fail with a one-line error and exit status 2 before any
+work starts,
 and removed flags must be rejected as unknown arguments rather than silently
 accepted. A path flag given without a value must fail with a one-line error
 instead of writing a file named `true`. A bad grid config must fail before
@@ -42,6 +44,27 @@ REJECTED = [
     # A repeated value would emit repeated (grid, cell) keys.
     (["--shard-threads", "2,2"], 2, "--shard-threads lists 2 twice"),
     (["--grid", "table1,table1"], 2, "--grid lists 'table1' twice"),
+    # Empty list items are refused, not dropped.
+    (["--grid", ","], 2, "--grid has an empty item in ','"),
+    (["--grid", "table1,"], 2, "--grid has an empty item in 'table1,'"),
+    (["--shard-threads", "1,,2"], 2,
+     "--shard-threads values must be integers >= 1, got ''"),
+    # Values that would wrap when narrowed, and options only a cell body
+    # used to check.
+    (["--repeats", "99999999999"], 2,
+     "--repeats must be an integer in [1, 2147483647], got 99999999999"),
+    (["--n", "99999999999"], 2,
+     "--n must be an integer in [1, 2147483647], got 99999999999"),
+    (["--spike-per-node", "-5"], 2,
+     "--spike-per-node must be an integer >= 0, got -5"),
+    (["--dynamic-rounds", "0"], 2,
+     "--dynamic-rounds must be an integer >= 1, got 0"),
+    (["--burst-period", "0"], 2,
+     "--burst-period must be an integer >= 1, got 0"),
+    (["--arrival-rate", "0"], 2,
+     "--arrival-rate must be a finite number > 0, got 0"),
+    (["--service-rate", "nan"], 2,
+     "--service-rate must be a finite number >= 0, got nan"),
 ] + [
     # Removed flags: the static runner and the degree-weighted cut, the
     # measured-cost scheduling hint, and the summary's tid count. The names
@@ -108,23 +131,42 @@ def check_bare_paths(dlb_run, failures):
     return len(BARE_PATHS)
 
 
+# Bad configs that must fail before --stream writes its framing to stdout or
+# truncates an existing --out file: a repeat count expand_grid refuses, a
+# spike the initial-load builder would refuse inside a cell, a replay trace
+# that does not exist, and one naming a node no scenario has. Each entry is
+# (argv, files to create in the working directory).
+BAD_UNDER_STREAM = [
+    (["--repeats", "0"], {}),
+    (["--spike-per-node", "-5"], {}),
+    (["--grid", "async-poisson", "--replay-trace", "missing.trace"], {}),
+    (["--grid", "async-poisson", "--replay-trace", "far.trace"],
+     {"far.trace": "0.5 900 1\n"}),
+]
+
+
 def check_bad_config_under_stream(dlb_run, failures):
-    """--repeats 0 is refused before --stream writes its framing to stdout or
-    truncates an existing --out file."""
-    label = "--repeats 0 --stream --out keep.json"
-    with tempfile.TemporaryDirectory() as tmp:
-        keep = pathlib.Path(tmp) / "keep.json"
-        keep.write_text("previous results\n")
-        r = run(dlb_run, ["--n", "16", "--repeats", "0", "--stream",
-                          "--out", "keep.json"], cwd=tmp)
-        if r.returncode == 0:
-            failures.append(f"{label}: exit 0, want nonzero")
-        if r.stdout:
-            failures.append(f"{label}: wrote to stdout: {r.stdout[:80]!r}")
-        if keep.read_text() != "previous results\n":
-            failures.append(f"{label}: --out file changed to "
-                            f"{keep.read_text()[:80]!r}")
-    return 1
+    for bad, files in BAD_UNDER_STREAM:
+        label = " ".join(bad) + " --stream --out keep.json"
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in files.items():
+                (pathlib.Path(tmp) / name).write_text(text)
+            keep = pathlib.Path(tmp) / "keep.json"
+            keep.write_text("previous results\n")
+            r = run(dlb_run, ["--n", "16", *bad, "--stream",
+                              "--out", "keep.json"], cwd=tmp)
+            if r.returncode == 0:
+                failures.append(f"{label}: exit 0, want nonzero")
+            if r.stdout:
+                failures.append(f"{label}: wrote to stdout: "
+                                f"{r.stdout[:80]!r}")
+            if len(r.stderr.splitlines()) != 1:
+                failures.append(f"{label}: stderr {r.stderr!r}, want one "
+                                "line")
+            if keep.read_text() != "previous results\n":
+                failures.append(f"{label}: --out file changed to "
+                                f"{keep.read_text()[:80]!r}")
+    return len(BAD_UNDER_STREAM)
 
 
 def check_scaling_table(dlb_run, untabled, failures):
