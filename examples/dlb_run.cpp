@@ -29,7 +29,8 @@
 //   --master-seed master seed pinning topology + every cell RNG (default 1)
 //   --n           approximate node count per graph case (default 128)
 //   --repeats     repetitions for randomized competitors (default 5)
-//   --spike-per-node   initial spike weight per node (default 50)
+//   --spike-per-node   initial spike weight per node (default 50, at most
+//                 2^32 so the initial load fits the token count)
 //   --dynamic-rounds / --arrivals-per-round   dynamic grids only
 //   --burst-size / --burst-period             dynamic-bursts only
 //   --arrival-rate / --service-rate   async (event-driven) grids: Poisson
@@ -76,6 +77,11 @@
 // with wall_ns masked to 0, so the bytes are identical for any --threads
 // value: grid cells derive their RNG streams from (master seed, cell index),
 // never from scheduling. Use --out for the timing-bearing variant.
+//
+// Buffered, --stream and --checkpoint/--resume runs all execute every grid
+// through the one driver, runtime::run_grid, which hands out rows in cell
+// order; the modes differ only in where those rows go (straight to the
+// writers under --stream, a per-grid vector otherwise).
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -135,6 +141,17 @@ bool read_int(const analysis::arg_map& args, const std::string& key,
   std::cerr << ", got " << v << "\n";
   return false;
 }
+
+// The largest --spike-per-node whose initial load fits weight_t on every
+// graph a node_id can count: a cell holds spike·n tokens on node 0 plus
+// its degree (< n, unit speeds) everywhere, and 2^32·n + n stays below
+// 2^63 for n < 2^31. The workload builder refuses an overflow as well, but
+// inside a cell that is after --stream or --out has opened.
+constexpr std::int64_t max_spike_per_node = std::int64_t{1} << 32;
+static_assert(max_spike_per_node <=
+              (std::numeric_limits<weight_t>::max() -
+               std::numeric_limits<node_id>::max()) /
+                  std::numeric_limits<node_id>::max());
 
 // Reads a real flag into `field` when it is finite and above `lo` (or equal
 // to it, when `lo_allowed`); otherwise prints one line and returns false.
@@ -199,6 +216,12 @@ int main(int argc, char** argv) {
         read_real(args, "arrival-rate", opts.arrival_rate, 0, false) &&
         read_real(args, "service-rate", opts.service_rate, 0, true);
     if (!options_ok) return 2;
+    if (opts.spike_per_node > max_spike_per_node) {
+      std::cerr << "--spike-per-node must be at most " << max_spike_per_node
+                << " so the initial load fits the token count, got "
+                << opts.spike_per_node << "\n";
+      return 2;
+    }
     opts.trace_path = args.get("replay-trace", opts.trace_path);
     // --shard-threads accepts a comma list: each value runs every selected
     // grid once, with the grid name suffixed -s<k> when more than one value
@@ -366,18 +389,29 @@ int main(int argc, char** argv) {
       return out_file.is_open();
     };
 
-    // Streaming mode: rows leave for stdout (and --out) the moment every
-    // earlier cell has finished — the grid is never materialized.
+    // Every grid runs through the one driver; only where its rows go
+    // differs. --stream hands each row to the writers the moment every
+    // earlier cell has finished — the grid is never materialized; otherwise
+    // rows collect per grid (for --table) and are written once all grids
+    // succeeded.
     runtime::row_writer stdout_writer(std::cout, format,
                                       runtime::timing::exclude);
     runtime::row_writer file_writer(out_file, format,
                                     runtime::timing::include);
-    std::uint64_t streamed = 0;
     if (stream) {
       if (!out_path.empty() && !open_out()) return 1;
       stdout_writer.begin();
       if (out_file.is_open()) file_writer.begin();
     }
+    std::vector<runtime::result_row> rows;  // the current grid's
+    const auto emit = [&](const runtime::result_row& row) {
+      if (!stream) {
+        rows.push_back(row);
+        return;
+      }
+      stdout_writer.row(row);
+      if (out_file.is_open()) file_writer.row(row);
+    };
 
     std::vector<runtime::result_row> all_rows;
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -388,20 +422,10 @@ int main(int argc, char** argv) {
         std::cerr << ", " << spec.shard_threads << " shard threads";
       }
       std::cerr << ")\n";
-      if (stream) {
-        streamed += runtime::run_grid_streaming(
-            spec, master_seed, pool, [&](const runtime::result_row& row) {
-              stdout_writer.row(row);
-              if (out_file.is_open()) file_writer.row(row);
-            });
-        continue;
-      }
-      auto rows =
-          ckpt.has_value()
-              ? runtime::run_grid_checkpointed(
-                    spec, master_seed, pool, *ckpt, ckpt_path,
-                    static_cast<std::uint64_t>(ckpt_every))
-              : runtime::run_grid(spec, master_seed, pool);
+      rows.clear();
+      runtime::run_grid(spec, master_seed, pool, emit,
+                        ckpt ? &*ckpt : nullptr, ckpt_path,
+                        static_cast<std::uint64_t>(ckpt_every));
       if (want_table) {
         std::cerr << "\n" << spec.description << "\n";
         runtime::render_view(spec, rows).print(std::cerr);
@@ -455,7 +479,8 @@ int main(int argc, char** argv) {
       stdout_writer.end();
       if (out_file.is_open()) {
         file_writer.end();
-        std::cerr << "wrote " << streamed << " rows to " << out_path << "\n";
+        std::cerr << "wrote " << file_writer.rows_written() << " rows to "
+                  << out_path << "\n";
       }
       return export_obs() ? 0 : 1;
     }

@@ -31,6 +31,8 @@ class trace_source;
 
 namespace dlb::runtime {
 
+class grid_checkpoint;
+
 /// How a cell is driven through the engine.
 enum class grid_kind {
   static_balancing,  ///< run_experiment to the continuous balancing time
@@ -187,26 +189,32 @@ struct grid_cell {
 [[nodiscard]] result_row run_cell(const grid_spec& spec,
                                   const grid_cell& cell);
 
-/// Expands and executes a whole grid on `pool`, returning rows in canonical
-/// cell order. Cells are submitted longest-first by `cost_estimate` (cutting
-/// tail latency on wide pools); the submission order is pure scheduling —
-/// rows are re-sorted into cell order, so output stays bit-identical for any
-/// pool size given the same (spec, master_seed) — apart from wall_ns.
+/// Expands and executes a whole grid on `pool` — the one grid driver. The
+/// trace prototype is parsed and checked against every scenario first
+/// (load_replay_trace), so a bad trace fails before any cell runs. Cells are
+/// then submitted longest-first by `cost_estimate` (cutting tail latency on
+/// wide pools); that order is pure scheduling: `emit` receives every row in
+/// canonical cell order, as soon as every earlier cell has finished
+/// (out-of-order completions wait in a reorder buffer), so the emitted
+/// sequence is bit-identical for any pool size given the same (spec,
+/// master_seed) — apart from wall_ns. `emit` is called from worker threads,
+/// one call at a time. Returns the number of rows emitted.
+///
+/// With a checkpoint, rows `ckpt` already holds for this grid are emitted
+/// from it (parse_row) without running their cells; every fresh row is put
+/// into `ckpt`, which is saved atomically to `ckpt_path` after every
+/// `ckpt_every` fresh cells and once more at the end.
+std::uint64_t run_grid(const grid_spec& spec, std::uint64_t master_seed,
+                       thread_pool& pool,
+                       const std::function<void(const result_row&)>& emit,
+                       grid_checkpoint* ckpt = nullptr,
+                       const std::string& ckpt_path = {},
+                       std::uint64_t ckpt_every = 1);
+
+/// run_grid collected into a vector: the rows in canonical cell order.
 [[nodiscard]] std::vector<result_row> run_grid(const grid_spec& spec,
                                                std::uint64_t master_seed,
                                                thread_pool& pool);
-
-/// Streaming variant: executes the grid without materializing it — `emit`
-/// receives each row in canonical cell order as soon as every earlier cell
-/// has finished (out-of-order completions wait in a bounded reorder buffer).
-/// The emitted sequence is exactly run_grid's returned vector, so feeding
-/// `emit` into a row_writer reproduces the buffered output byte-for-byte
-/// while holding only the out-of-order window in memory. Returns the number
-/// of rows emitted. `emit` is called from worker threads, one call at a
-/// time (serialized by the reorder lock).
-std::uint64_t run_grid_streaming(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    const std::function<void(const result_row&)>& emit);
 
 /// Pivots rows into the grid's declared table shape (spec.view) — the table
 /// `dlb_run --table` prints.

@@ -9,23 +9,24 @@
 //
 // The file embeds a caller-built fingerprint of every setting that affects
 // row bytes (grids, seeds, sizes, traffic knobs — NOT --threads /
-// --shard-threads / --format, which are execution strategy); resuming under different settings fails with one line instead
-// of splicing rows from two different experiments.
+// --shard-threads / --format, which are execution strategy); resuming under
+// different settings fails with one line instead of splicing rows from two
+// different experiments.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "dlb/runtime/experiment_grid.hpp"
+#include "dlb/runtime/result_sink.hpp"
 
 namespace dlb::runtime {
 
 /// A set of completed rows keyed by (grid name, cell index), plus the
 /// configuration fingerprint they were produced under. Not thread-safe —
-/// the checkpointed grid driver serializes access.
+/// run_grid (experiment_grid.hpp), which restores rows from it and saves
+/// fresh ones into it, serializes access.
 class grid_checkpoint {
  public:
   explicit grid_checkpoint(std::string fingerprint)
@@ -33,9 +34,6 @@ class grid_checkpoint {
 
   [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
-
-  /// True when (grid, cell) already has a completed row.
-  [[nodiscard]] bool has(const std::string& grid, std::uint64_t cell) const;
 
   /// The stored JSON line for (grid, cell), or nullptr.
   [[nodiscard]] const std::string* find(const std::string& grid,
@@ -64,15 +62,5 @@ class grid_checkpoint {
   std::string fingerprint_;
   std::map<std::pair<std::string, std::uint64_t>, std::string> rows_;
 };
-
-/// run_grid with cell-granularity checkpointing: rows already present in
-/// `ckpt` are restored (parse_row) without executing their cells; the rest
-/// run on `pool` longest-first, and after every `every` freshly completed
-/// cells the checkpoint is rewritten to `path`. Returns rows in canonical
-/// cell order — byte-identical to run_grid's, whatever mix of cached and
-/// fresh cells produced them.
-[[nodiscard]] std::vector<result_row> run_grid_checkpointed(
-    const grid_spec& spec, std::uint64_t master_seed, thread_pool& pool,
-    grid_checkpoint& ckpt, const std::string& path, std::uint64_t every = 1);
 
 }  // namespace dlb::runtime

@@ -1,5 +1,8 @@
 #include "dlb/workload/competitors.hpp"
 
+#include <limits>
+#include <string>
+
 #include "dlb/baselines/excess_tokens.hpp"
 #include "dlb/baselines/local_rounding.hpp"
 #include "dlb/common/contracts.hpp"
@@ -145,8 +148,16 @@ std::vector<competitor> competitor_subset(
 
 std::vector<weight_t> spike_workload(const graph& g, const speed_vector& s,
                                      weight_t spike_per_node) {
-  const auto spike =
-      point_mass(g.num_nodes(), 0, spike_per_node * g.num_nodes());
+  const node_id n = g.num_nodes();
+  DLB_EXPECTS(n > 0 && spike_per_node >= 0);
+  // A wrapped product would hand the run a tiny or negative spike and
+  // still print a plausible row; add_speed_multiple checks the top-up.
+  if (spike_per_node > std::numeric_limits<weight_t>::max() / n) {
+    throw contract_violation(
+        "spike of " + std::to_string(spike_per_node) + " tokens per node on " +
+        std::to_string(n) + " nodes overflows the token count");
+  }
+  const auto spike = point_mass(n, 0, spike_per_node * n);
   return add_speed_multiple(spike, s,
                             static_cast<weight_t>(g.max_degree()));
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "dlb/common/contracts.hpp"
 #include "dlb/common/rng.hpp"
@@ -67,7 +69,17 @@ std::vector<weight_t> zipf(node_id n, weight_t total, double exponent,
 std::vector<weight_t> add_speed_multiple(std::vector<weight_t> x,
                                          const speed_vector& s, weight_t ell) {
   DLB_EXPECTS(x.size() == s.size() && ell >= 0);
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] += ell * s[i];
+  constexpr weight_t top = std::numeric_limits<weight_t>::max();
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    DLB_EXPECTS(s[i] >= 0);
+    if ((s[i] > 0 && ell > top / s[i]) || x[i] > top - ell * s[i]) {
+      throw contract_violation(
+          "top-up of " + std::to_string(ell) + "*" + std::to_string(s[i]) +
+          " tokens on node " + std::to_string(i) + " (already holding " +
+          std::to_string(x[i]) + ") overflows the token count");
+    }
+    x[i] += ell * s[i];
+  }
   return x;
 }
 

@@ -57,6 +57,10 @@ REJECTED = [
      "--n must be an integer in [1, 2147483647], got 99999999999"),
     (["--spike-per-node", "-5"], 2,
      "--spike-per-node must be an integer >= 0, got -5"),
+    # spike * n used to wrap to an empty spike and print plausible rows.
+    (["--spike-per-node", "4611686018427387904"], 2,
+     "--spike-per-node must be at most 4294967296 so the initial load "
+     "fits the token count, got 4611686018427387904"),
     (["--dynamic-rounds", "0"], 2,
      "--dynamic-rounds must be an integer >= 1, got 0"),
     (["--burst-period", "0"], 2,

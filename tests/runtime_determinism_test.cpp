@@ -28,7 +28,7 @@ std::string canonical_json(const std::string& grid, std::uint64_t master,
   thread_pool pool(threads);
   const auto rows = run_grid(spec, master, pool);
   std::ostringstream os;
-  write_json(os, rows, timing::exclude);
+  write_rows(os, rows, sink_format::json, timing::exclude);
   return os.str();
 }
 

@@ -1,5 +1,5 @@
-// Streaming result flushing: the row_writer's incremental framing must
-// reproduce write_rows' bytes exactly, and run_grid_streaming must emit the
+// Streaming result flushing: the row_writer's incremental framing is the
+// document the parsers read back, and run_grid's emit callback receives the
 // grid's canonical row sequence in cell order — from real multi-threaded
 // pools whose cells finish out of order — without materializing the grid.
 #include <gtest/gtest.h>
@@ -42,22 +42,38 @@ result_row sample_row(std::uint64_t cell) {
 
 class RowWriterFormatsTest : public ::testing::TestWithParam<sink_format> {};
 
-TEST_P(RowWriterFormatsTest, MatchesBufferedBytes) {
+TEST_P(RowWriterFormatsTest, FramingRoundTripsAtAnyRowCount) {
   for (const std::size_t count : {0u, 1u, 3u}) {
     std::vector<result_row> rows;
     for (std::size_t i = 0; i < count; ++i) rows.push_back(sample_row(i));
     for (const timing t : {timing::include, timing::exclude}) {
-      std::ostringstream buffered;
-      write_rows(buffered, rows, GetParam(), t);
+      const std::string label =
+          "rows=" + std::to_string(count) +
+          (t == timing::include ? " timing=include" : " timing=exclude");
       std::ostringstream streamed;
       row_writer writer(streamed, GetParam(), t);
       writer.begin();
       for (const result_row& row : rows) writer.row(row);
       writer.end();
-      EXPECT_EQ(streamed.str(), buffered.str())
-          << "rows=" << count
-          << " timing=" << (t == timing::include ? "include" : "exclude");
-      EXPECT_EQ(writer.rows_written(), count);
+      EXPECT_EQ(writer.rows_written(), count) << label;
+
+      std::vector<result_row> want = rows;
+      if (t == timing::exclude) {
+        for (result_row& row : want) row.wall_ns = 0;
+      }
+      if (GetParam() == sink_format::csv) {
+        EXPECT_EQ(parse_csv(streamed.str()), want) << label;
+        continue;
+      }
+      EXPECT_EQ(parse_json(streamed.str()), want) << label;
+      // The JSON array framing, byte for byte: one object per line, the
+      // comma at the end of every line but the last.
+      std::string framed = "[\n";
+      for (std::size_t i = 0; i < count; ++i) {
+        framed += "  " + to_json(rows[i], t) + (i + 1 < count ? ",\n" : "\n");
+      }
+      framed += "]\n";
+      EXPECT_EQ(streamed.str(), framed) << label;
     }
   }
 }
@@ -70,21 +86,24 @@ INSTANTIATE_TEST_SUITE_P(Formats, RowWriterFormatsTest,
                                                                : "csv";
                          });
 
-TEST(RunGridStreamingTest, EmitsTheExactRunGridSequenceInCellOrder) {
+TEST(RunGridStreamingTest, EmitsTheSerialCellSequenceInCellOrder) {
   grid_options opts;
   opts.target_n = 32;
   opts.repeats = 2;
   opts.spike_per_node = 10;
   const grid_spec spec = make_named_grid("table1", opts, /*master=*/5);
 
-  thread_pool buffered_pool(4);
-  const auto expected = run_grid(spec, /*master=*/5, buffered_pool);
+  // The reference: every cell run one after another in cell order.
+  std::vector<result_row> expected;
+  for (const grid_cell& cell : expand_grid(spec, /*master=*/5)) {
+    expected.push_back(run_cell(spec, cell));
+  }
 
-  thread_pool streaming_pool(4);
+  thread_pool pool(4);
   std::vector<result_row> streamed;
-  const std::uint64_t count = run_grid_streaming(
-      spec, /*master=*/5, streaming_pool,
-      [&](const result_row& row) { streamed.push_back(row); });
+  const std::uint64_t count =
+      run_grid(spec, /*master=*/5, pool,
+               [&](const result_row& row) { streamed.push_back(row); });
 
   ASSERT_EQ(count, expected.size());
   ASSERT_EQ(streamed.size(), expected.size());
@@ -109,17 +128,17 @@ TEST(RunGridStreamingTest, StreamingIntoWriterMatchesBufferedSerialization) {
   opts.spike_per_node = 4;
   const grid_spec spec = make_named_grid("huge-uniform", opts, /*master=*/17);
 
-  thread_pool pool(4);
-  const auto rows = run_grid(spec, /*master=*/17, pool);
+  thread_pool serial(1);
+  const auto rows = run_grid(spec, /*master=*/17, serial);
   std::ostringstream buffered;
   write_rows(buffered, rows, sink_format::csv, timing::exclude);
 
   std::ostringstream streamed;
   row_writer writer(streamed, sink_format::csv, timing::exclude);
   writer.begin();
-  thread_pool pool2(4);
-  run_grid_streaming(spec, /*master=*/17, pool2,
-                     [&](const result_row& row) { writer.row(row); });
+  thread_pool pool(4);
+  run_grid(spec, /*master=*/17, pool,
+           [&](const result_row& row) { writer.row(row); });
   writer.end();
   EXPECT_EQ(streamed.str(), buffered.str());
 }

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 
+#include "dlb/graph/generators.hpp"
+#include "dlb/workload/competitors.hpp"
 #include "dlb/workload/scenario.hpp"
 
 namespace dlb {
@@ -55,6 +58,36 @@ TEST(WorkloadTest, ZipfIsSkewed) {
 TEST(WorkloadTest, AddSpeedMultiple) {
   const auto x = add_speed_multiple({1, 2, 3}, {1, 2, 3}, 10);
   EXPECT_EQ(x, (std::vector<weight_t>{11, 22, 33}));
+}
+
+TEST(WorkloadTest, AddSpeedMultipleRefusesAnOverflowingTopUp) {
+  constexpr weight_t top = std::numeric_limits<weight_t>::max();
+  EXPECT_EQ(add_speed_multiple({top - 6, 0}, {2, 1}, 3),
+            (std::vector<weight_t>{top, 3}));
+  EXPECT_THROW((void)add_speed_multiple({top - 5, 0}, {2, 1}, 3),
+               contract_violation);
+  EXPECT_THROW((void)add_speed_multiple({0, 0}, {1, 2}, top / 2 + 1),
+               contract_violation);
+}
+
+TEST(WorkloadTest, SpikeWorkloadRefusesAnOverflowingSpike) {
+  // A 7-node cycle: spike_per_node * 7 on node 0, then 2 (the degree) on
+  // every node. 7 divides 2^63 - 1, so the spike can fill weight_t exactly.
+  const graph g = generators::cycle(7);
+  const speed_vector s = uniform_speeds(7);
+  const auto x = spike_workload(g, s, 50);
+  EXPECT_EQ(x[0], 50 * 7 + 2);
+  EXPECT_EQ(x[1], 2);
+
+  constexpr weight_t top = std::numeric_limits<weight_t>::max();
+  static_assert(top % 7 == 0);
+  // The spike itself fits, the top-up on node 0 does not.
+  EXPECT_THROW((void)spike_workload(g, s, top / 7), contract_violation);
+  // The spike does not fit: 2^62 per node used to wrap silently.
+  EXPECT_THROW((void)spike_workload(g, s, weight_t{1} << 62),
+               contract_violation);
+  // The largest spike that leaves room for the top-up is accepted.
+  EXPECT_EQ(spike_workload(g, s, top / 7 - 1)[0], top - 7 + 2);
 }
 
 TEST(WorkloadTest, DecomposeUniformWeightsMatchesLoadsExactly) {
