@@ -38,21 +38,22 @@
 //   --replay-trace  async grids: replay `(time, node, count)` events from
 //                 this file as an extra source
 //   --trace       write a Chrome/Perfetto trace-event JSON of the run to
-//                 this path (load in ui.perfetto.dev), plus a per-cell
-//                 metrics sidecar at <path>.metrics.json. Observation only:
-//                 stdout rows are byte-identical with or without it
+//                 this path (load in ui.perfetto.dev), plus the per-cell
+//                 "dlb-obs-v1" sidecar at <path>.metrics.json (counters,
+//                 histograms, round and barrier totals, per-shard phases).
+//                 Observation only: stdout rows are byte-identical with or
+//                 without it
 //   --obs-summary print a human span/shard-skew/pool-utilization summary to
-//                 stderr after the grids finish (tools/summarize_trace.py is
-//                 the offline equivalent over a --trace file)
+//                 stderr after the grids finish (`tools/obs_report.py
+//                 summary <path>` prints the same text from a --trace file)
 //   --obs-profile record hardware-counter deltas (cycles, instructions,
-//                 cache refs/misses, branch misses) on every span, fold the
-//                 per-shard spans into a skew report (stderr table), and
-//                 write the "dlb-profile-v2" JSON sidecar. Falls back to
-//                 wall-clock-only spans where perf_event_open is
-//                 unavailable (one stderr notice). Observation only:
+//                 cache refs/misses, branch misses) on every span: the
+//                 sidecar's per-shard counters fill in and the summary's
+//                 shard-balance rows gain IPC and miss% columns. Falls back
+//                 to wall-clock-only spans where perf_event_open is
+//                 unavailable (one stderr notice). Needs --trace or
+//                 --obs-summary (exits 2 otherwise). Observation only:
 //                 stdout rows stay byte-identical
-//   --obs-profile-out  profile sidecar path (default dlb_profile.json;
-//                 implies --obs-profile)
 //   --obs-extras  append the deterministic obs counters (obs_tokens_moved,
 //                 obs_edges_touched, ...) to every row's extras
 //   --checkpoint  persist every finished cell's row to this file (atomic
@@ -98,7 +99,6 @@
 #include "dlb/analysis/args.hpp"
 #include "dlb/analysis/table.hpp"
 #include "dlb/obs/export.hpp"
-#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grid_checkpoint.hpp"
 #include "dlb/runtime/grids.hpp"
@@ -241,10 +241,7 @@ int main(int argc, char** argv) {
     const std::vector<std::string> grid_names = split_csv(grid_arg);
     const std::string trace_out = args.get("trace", "");
     const bool obs_summary = args.has("obs-summary");
-    const bool obs_profile =
-        args.has("obs-profile") || args.has("obs-profile-out");
-    const std::string profile_out =
-        args.get("obs-profile-out", "dlb_profile.json");
+    const bool obs_profile = args.has("obs-profile");
     const bool obs_extras = args.has("obs-extras");
     const bool stream = args.has("stream");
     const auto master_seed =
@@ -270,6 +267,11 @@ int main(int argc, char** argv) {
 
     for (const std::string& key : args.unused_keys()) {
       std::cerr << "unknown argument: " << key << "\n";
+      return 2;
+    }
+    if (obs_profile && trace_out.empty() && !obs_summary) {
+      std::cerr << "--obs-profile needs --trace or --obs-summary to record "
+                   "and print its counters\n";
       return 2;
     }
     if (grid_arg.empty()) {
@@ -319,11 +321,10 @@ int main(int argc, char** argv) {
 
     // One recorder per run: the cell pool, every cell's shard pool, and
     // every engine driver report into it; exporters read it after the pool
-    // is idle. --obs-summary alone still records (it only skips the file).
-    // --obs-profile turns its counters on: the skew analyzer folds the
-    // spans' counter deltas, cell registry and barrier spans.
+    // is idle. --obs-summary alone still records (it only skips the files).
+    // --obs-profile turns its counters on.
     std::unique_ptr<obs::recorder> recorder;
-    if (!trace_out.empty() || obs_summary || obs_profile) {
+    if (!trace_out.empty() || obs_summary) {
       recorder = std::make_unique<obs::recorder>(
           obs_profile ? obs::recorder::counters::on
                       : obs::recorder::counters::off);
@@ -442,6 +443,10 @@ int main(int argc, char** argv) {
     // files and stderr, never into the row streams.
     const auto export_obs = [&]() {
       if (recorder == nullptr) return true;
+      // The one fold of spans by (cell, phase, shard): the sidecar and the
+      // summary's shard-balance rows both render it.
+      const obs::prof::profile_report report =
+          obs::prof::analyze_profile(*recorder);
       if (!trace_out.empty()) {
         std::ofstream trace_file(trace_out);
         if (!trace_file) {
@@ -455,23 +460,11 @@ int main(int argc, char** argv) {
           std::cerr << "cannot open " << sidecar_path << "\n";
           return false;
         }
-        obs::write_metrics_sidecar(sidecar, *recorder);
+        obs::write_sidecar(sidecar, report);
         std::cerr << "wrote trace to " << trace_out << " and metrics to "
                   << sidecar_path << "\n";
       }
-      if (obs_summary) obs::write_summary(std::cerr, *recorder);
-      if (obs_profile) {
-        const obs::prof::profile_report report =
-            obs::prof::analyze_profile(*recorder);
-        std::ofstream profile_file(profile_out);
-        if (!profile_file) {
-          std::cerr << "cannot open " << profile_out << "\n";
-          return false;
-        }
-        obs::prof::write_profile_json(profile_file, report);
-        obs::prof::write_profile_table(std::cerr, report);
-        std::cerr << "wrote profile to " << profile_out << "\n";
-      }
+      if (obs_summary) obs::write_summary(std::cerr, *recorder, report);
       return true;
     };
 

@@ -170,13 +170,8 @@ dynamic_result run_dynamic(discrete_process& d,
     r.total_arrived += arrived;
     if (pb.met != nullptr) {
       pb.met->add_arrivals(static_cast<std::uint64_t>(arrived));
-      pb.met->add_round();
     }
-    {
-      const obs::scoped_span span(pb.rec, "round", -1, pb.cell);
-      d.step();
-    }
-    if (obs) obs(d.rounds_executed(), d);
+    run_rounds(d, 1, obs, pb);
     if (t >= warmup) {
       const real_t disc = round_discrepancy(d);
       sum += disc;

@@ -54,6 +54,8 @@ inline constexpr real_t balanced_tolerance = 1.0;
 using round_observer = std::function<void(round_t t, const discrete_process& d)>;
 
 /// Advances `d` by `rounds` rounds, invoking `obs` (if any) after each.
+/// The one site that writes a round's `round` span and metrics bump:
+/// run_dynamic and the async driver step through it one round at a time.
 void run_rounds(discrete_process& d, round_t rounds,
                 const round_observer& obs = nullptr,
                 const obs::probe& pb = {});

@@ -133,13 +133,7 @@ bool async_run::advance(const async_budget& budget,
       ++events_done;
       ++events_;
     }
-    {
-      const obs::scoped_span span(opts_.probe.rec, "round", -1,
-                                  opts_.probe.cell);
-      d_->step();
-    }
-    if (opts_.probe.met != nullptr) opts_.probe.met->add_round();
-    if (obs) obs(d_->rounds_executed(), *d_);
+    run_rounds(*d_, 1, obs, opts_.probe);
     if (t_ >= warmup_) {
       const real_t disc = round_discrepancy(*d_);
       sum_ += disc;

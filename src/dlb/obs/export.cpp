@@ -1,6 +1,7 @@
 #include "dlb/obs/export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iomanip>
@@ -58,12 +59,21 @@ void write_hist(std::ostream& os, const char* key,
   for (std::size_t b = 0; b < histogram::num_buckets; ++b) {
     if (h[b] > 0) last = b + 1;
   }
-  os << '"' << key << "\":[";
+  os << '"' << key << "\": [";
   for (std::size_t b = 0; b < last; ++b) {
-    if (b > 0) os << ',';
+    if (b > 0) os << ", ";
     os << h[b];
   }
   os << ']';
+}
+
+/// %.6g formatting: locale-independent, no exponent surprises for the value
+/// ranges we emit, and identical across the compilers CI runs.
+void write_double(std::ostream& os, double v) {
+  if (!std::isfinite(v)) v = 0.0;
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  os << buf;
 }
 
 }  // namespace
@@ -97,37 +107,95 @@ void write_chrome_trace(std::ostream& os, const recorder& rec) {
   os << "\n]}\n";
 }
 
-void write_metrics_sidecar(std::ostream& os, const recorder& rec) {
-  os << "[\n";
-  bool first = true;
-  for (const cell_record& cell : rec.cells()) {
-    if (!first) os << ",\n";
-    first = false;
-    os << "{\"cell\":" << cell.id << ",\"grid_cell\":" << cell.index
-       << ",\"grid\":";
+void write_sidecar(std::ostream& os, const prof::profile_report& report) {
+  os << "{\n";
+  os << "  \"schema\": \"dlb-obs-v1\",\n";
+  os << "  \"backend\": "
+     << (report.hardware_available ? "\"perf_event\"" : "\"fallback\"")
+     << ",\n";
+  os << "  \"fallback_reason\": ";
+  write_json_string(os, report.fallback_reason);
+  os << ",\n";
+  const prof::memory_profile& mem = report.memory;
+  os << "  \"memory\": {\"max_rss_kb\": " << mem.max_rss_kb
+     << ", \"vm_hwm_kb\": " << mem.vm_hwm_kb
+     << ", \"vm_rss_kb\": " << mem.vm_rss_kb
+     << ", \"recorder_threads\": " << mem.recorder.threads
+     << ", \"recorder_spans\": " << mem.recorder.spans
+     << ", \"recorder_bytes\": " << mem.recorder.bytes << "},\n";
+  os << "  \"cells\": [";
+  bool first_cell = true;
+  for (const prof::cell_profile& cp : report.cells) {
+    os << (first_cell ? "\n" : ",\n");
+    first_cell = false;
+    const cell_record& cell = cp.cell;
+    os << "    {\"cell\": " << cell.id << ", \"grid_cell\": " << cell.index
+       << ", \"grid\": ";
     write_json_string(os, cell.grid);
-    os << ",\"scenario\":";
+    os << ", \"scenario\": ";
     write_json_string(os, cell.scenario);
-    os << ",\"process\":";
+    os << ", \"process\": ";
     write_json_string(os, cell.process);
-    os << ",\"finished\":" << (cell.finished ? "true" : "false")
-       << ",\"counters\":{";
+    os << ", \"finished\": " << (cell.finished ? "true" : "false")
+       << ",\n     \"counters\": {";
     bool first_counter = true;
     for (const auto& [key, value] : cell.snapshot.counters) {
-      if (!first_counter) os << ',';
+      if (!first_counter) os << ", ";
       first_counter = false;
-      os << '"' << key << "\":" << value;
+      os << '"' << key << "\": " << value;
     }
-    os << "},";
+    os << "},\n     ";
     write_hist(os, "barrier_wait_hist", cell.snapshot.barrier_wait_hist);
-    os << ',';
+    os << ", ";
     write_hist(os, "queue_depth_hist", cell.snapshot.queue_depth_hist);
-    os << '}';
+    os << ",\n     \"rounds\": " << cp.rounds
+       << ", \"round_wall_ns\": " << cp.round_wall_ns
+       << ", \"barrier_wait_ns\": " << cp.barrier_wait_ns
+       << ", \"barrier_wait_share\": ";
+    write_double(os, cp.barrier_wait_share);
+    os << ",\n     \"phases\": [";
+    bool first_phase = true;
+    for (const prof::phase_profile& pp : cp.phases) {
+      os << (first_phase ? "\n" : ",\n");
+      first_phase = false;
+      os << "      {\"phase\": ";
+      write_json_string(os, pp.phase);
+      os << ", \"shards\": " << pp.shards.size()
+         << ", \"calls\": " << pp.calls
+         << ", \"wall_total_ns\": " << pp.wall_total_ns
+         << ", \"wall_mean_ns\": " << pp.wall_mean_ns
+         << ", \"wall_slowest_ns\": " << pp.wall_slowest_ns
+         << ", \"wall_p99_ns\": " << pp.wall_p99_ns
+         << ", \"slowest_shard\": " << pp.slowest_shard << ", \"skew\": ";
+      write_double(os, pp.skew);
+      os << ", \"barrier_wait_ns\": " << pp.barrier_wait_ns;
+      os << ",\n       \"per_shard\": [";
+      bool first_shard = true;
+      for (const prof::shard_stat& st : pp.shards) {
+        os << (first_shard ? "\n" : ",\n");
+        first_shard = false;
+        os << "        {\"shard\": " << st.shard << ", \"calls\": " << st.calls
+           << ", \"wall_ns\": " << st.wall_ns
+           << ", \"barrier_wait_ns\": " << st.barrier_wait_ns
+           << ", \"hw_available\": " << (st.hw_available ? "true" : "false");
+        for (std::size_t i = 0; i < num_hw; ++i) {
+          os << ", \"" << prof::hw_names[i] << "\": " << st.hw[i];
+        }
+        os << ", \"ipc\": ";
+        write_double(os, st.hw_available ? st.ipc() : 0.0);
+        os << ", \"cache_miss_rate\": ";
+        write_double(os, st.hw_available ? st.cache_miss_rate() : 0.0);
+        os << "}";
+      }
+      os << (first_shard ? "]" : "\n       ]") << "}";
+    }
+    os << (first_phase ? "]" : "\n     ]") << "}";
   }
-  os << "\n]\n";
+  os << (first_cell ? "]" : "\n  ]") << "\n}\n";
 }
 
-void write_summary(std::ostream& os, const recorder& rec) {
+void write_summary(std::ostream& os, const recorder& rec,
+                   const prof::profile_report& report) {
   const std::vector<span_record> events = rec.events();
   if (events.empty()) {
     os << "obs: no spans recorded\n";
@@ -140,9 +208,6 @@ void write_summary(std::ostream& os, const recorder& rec) {
     std::int64_t max_ns = 0;
   };
   std::map<std::string, name_stats> by_name;
-  // Per-shard totals of the sharded phase spans (barrier spans excluded —
-  // their skew is definitionally inverted: the slowest shard waits least).
-  std::map<std::string, std::map<std::int32_t, std::int64_t>> shard_totals;
   std::map<std::uint32_t, std::int64_t> pool_busy;  // tid → Σ pool_task dur
   std::int64_t queue_wait_total = 0;
   std::int64_t queue_wait_max = 0;
@@ -157,9 +222,6 @@ void write_summary(std::ostream& os, const recorder& rec) {
     ns.max_ns = std::max(ns.max_ns, span.dur_ns);
     t_min = std::min(t_min, span.ts_ns);
     t_max = std::max(t_max, span.ts_ns + span.dur_ns);
-    if (span.shard >= 0 && !is_barrier(span.name)) {
-      shard_totals[span.name][span.shard] += span.dur_ns;
-    }
     if (std::strcmp(span.name, "pool_task") == 0) {
       pool_busy[span.tid] += span.dur_ns;
       if (span.arg >= 0) {
@@ -180,9 +242,11 @@ void write_summary(std::ostream& os, const recorder& rec) {
 
   std::vector<std::pair<std::string, name_stats>> ranked(by_name.begin(),
                                                          by_name.end());
-  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
-    return a.second.total_ns > b.second.total_ns;
-  });
+  // Stable, so equal totals keep name order (as the offline tool prints).
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.total_ns > b.second.total_ns;
+                   });
   os << "top spans by total time:\n";
   os << "  " << std::left << std::setw(28) << "name" << std::right
      << std::setw(10) << "count" << std::setw(14) << "total ms"
@@ -198,25 +262,58 @@ void write_summary(std::ostream& os, const recorder& rec) {
        << std::setw(14) << static_cast<double>(st.max_ns) / 1e3 << "\n";
   }
 
-  if (!shard_totals.empty()) {
+  // Per-(phase, shard >= 0) totals summed over cells, read off the report.
+  // Barrier waits are credited to the phase they guard there, never a phase
+  // of their own, so their inverted skew (the slowest shard waits least)
+  // stays out of these rows.
+  struct phase_balance {
+    std::map<std::int32_t, std::int64_t> shard_wall;
+    prof::shard_stat counters{.hw_available = true};  // summed over shards
+  };
+  std::map<std::string, phase_balance> balance;
+  for (const prof::cell_profile& cp : report.cells) {
+    for (const prof::phase_profile& pp : cp.phases) {
+      for (const prof::shard_stat& st : pp.shards) {
+        if (st.shard < 0 || st.calls == 0) continue;
+        phase_balance& pb = balance[pp.phase];
+        pb.shard_wall[st.shard] += st.wall_ns;
+        for (std::size_t i = 0; i < num_hw; ++i) {
+          pb.counters.hw[i] += st.hw[i];
+        }
+        pb.counters.hw_available =
+            pb.counters.hw_available && st.hw_available;
+      }
+    }
+  }
+  if (!balance.empty()) {
+    const bool hw_columns = report.hardware_available;
     os << "per-phase shard balance (totals across the run):\n";
     os << "  " << std::left << std::setw(28) << "phase" << std::right
        << std::setw(8) << "shards" << std::setw(14) << "mean/shard ms"
-       << std::setw(14) << "slowest ms" << std::setw(8) << "skew" << "\n";
-    for (const auto& [name, per_shard] : shard_totals) {
+       << std::setw(14) << "slowest ms" << std::setw(8) << "skew";
+    if (hw_columns) os << std::setw(7) << "IPC" << std::setw(8) << "miss%";
+    os << "\n";
+    for (const auto& [name, pb] : balance) {
       std::int64_t total = 0;
       std::int64_t slowest = 0;
-      for (const auto& [shard, dur] : per_shard) {
+      for (const auto& [shard, dur] : pb.shard_wall) {
         total += dur;
         slowest = std::max(slowest, dur);
       }
-      const double mean =
-          static_cast<double>(total) / static_cast<double>(per_shard.size());
+      const double mean = static_cast<double>(total) /
+                          static_cast<double>(pb.shard_wall.size());
       os << "  " << std::left << std::setw(28) << name << std::right
-         << std::setw(8) << per_shard.size() << std::setw(14)
+         << std::setw(8) << pb.shard_wall.size() << std::setw(14)
          << std::setprecision(2) << mean / 1e6 << std::setw(14)
          << ms(slowest) << std::setw(7) << std::setprecision(2)
-         << (mean > 0 ? static_cast<double>(slowest) / mean : 1.0) << "x\n";
+         << (mean > 0 ? static_cast<double>(slowest) / mean : 1.0) << "x";
+      if (hw_columns && pb.counters.hw_available) {
+        os << std::setw(7) << pb.counters.ipc() << std::setw(8)
+           << std::setprecision(1) << 100.0 * pb.counters.cache_miss_rate();
+      } else if (hw_columns) {
+        os << std::setw(7) << "-" << std::setw(8) << "-";
+      }
+      os << "\n";
     }
   }
 
@@ -232,7 +329,7 @@ void write_summary(std::ostream& os, const recorder& rec) {
   if (!pool_busy.empty()) {
     // A run with per-cell shard pools registers hundreds of mostly-idle
     // tids — show the busiest few, fold the rest into one aggregate.
-    // tools/summarize_trace.py names the same 8.
+    // `tools/obs_report.py summary` names the same 8.
     constexpr std::size_t top_tids = 8;
     std::vector<std::pair<std::int64_t, std::uint32_t>> busiest;
     for (const auto& [tid, busy] : pool_busy) busiest.push_back({busy, tid});

@@ -7,14 +7,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <map>
-#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
 
-#include "dlb/obs/export.hpp"
 #include "dlb/obs/recorder.hpp"
 
 #if defined(__linux__)
@@ -29,11 +26,6 @@
 namespace dlb::obs::prof {
 
 namespace {
-
-constexpr const char* kHwNames[num_hw] = {
-    "cycles", "instructions", "cache_references", "cache_misses",
-    "branch_misses",
-};
 
 #if defined(__linux__)
 
@@ -89,7 +81,7 @@ struct perf_group {
                                 /*cpu=*/-1, group_fd, /*flags=*/0UL);
       if (fd < 0) {
         std::ostringstream os;
-        os << "perf_event_open(" << kHwNames[i]
+        os << "perf_event_open(" << hw_names[i]
            << ") failed: " << std::strerror(errno);
         if (errno == EACCES || errno == EPERM) {
           os << " (check /proc/sys/kernel/perf_event_paranoid or container "
@@ -131,21 +123,6 @@ bool force_fallback_env() {
 
 double safe_div(double num, double den) noexcept {
   return den > 0.0 ? num / den : 0.0;
-}
-
-/// %.6g formatting: locale-independent, no exponent surprises for the value
-/// ranges we emit, and identical across the compilers CI runs.
-void write_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
-std::string format_ms(std::int64_t ns) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2fms", static_cast<double>(ns) / 1e6);
-  return buf;
 }
 
 }  // namespace
@@ -300,16 +277,13 @@ profile_report analyze_profile(const recorder& rec) {
     for (std::size_t i = 0; i < num_hw; ++i) st.hw[i] += span.hw[i];
   }
 
-  for (const cell_record& cell : rec.cells()) {
+  const cell_accum no_spans;
+  for (cell_record& cell : rec.cells()) {
     const auto it = accums.find(cell.id);
-    if (it == accums.end()) continue;  // cell recorded no attributable span
-    const cell_accum& acc = it->second;
+    const cell_accum& acc = it != accums.end() ? it->second : no_spans;
 
     cell_profile cp;
-    cp.cell = cell.id;
-    cp.grid = cell.grid;
-    cp.scenario = cell.scenario;
-    cp.process = cell.process;
+    cp.cell = std::move(cell);
     cp.rounds = acc.rounds;
     cp.round_wall_ns = acc.round_wall_ns;
     cp.barrier_wait_ns = acc.barrier_wait_ns;
@@ -356,147 +330,6 @@ profile_report analyze_profile(const recorder& rec) {
     report.cells.push_back(std::move(cp));
   }
   return report;
-}
-
-void write_profile_json(std::ostream& os, const profile_report& report) {
-  os << "{\n";
-  os << "  \"schema\": \"dlb-profile-v2\",\n";
-  os << "  \"backend\": "
-     << (report.hardware_available ? "\"perf_event\"" : "\"fallback\"")
-     << ",\n";
-  os << "  \"fallback_reason\": ";
-  write_json_string(os, report.fallback_reason);
-  os << ",\n";
-  const memory_profile& mem = report.memory;
-  os << "  \"memory\": {\"max_rss_kb\": " << mem.max_rss_kb
-     << ", \"vm_hwm_kb\": " << mem.vm_hwm_kb
-     << ", \"vm_rss_kb\": " << mem.vm_rss_kb
-     << ", \"recorder_threads\": " << mem.recorder.threads
-     << ", \"recorder_spans\": " << mem.recorder.spans
-     << ", \"recorder_bytes\": " << mem.recorder.bytes << "},\n";
-  os << "  \"cells\": [";
-  bool first_cell = true;
-  for (const cell_profile& cp : report.cells) {
-    os << (first_cell ? "\n" : ",\n");
-    first_cell = false;
-    os << "    {\"cell\": " << cp.cell << ", \"grid\": ";
-    write_json_string(os, cp.grid);
-    os << ", \"scenario\": ";
-    write_json_string(os, cp.scenario);
-    os << ", \"process\": ";
-    write_json_string(os, cp.process);
-    os << ",\n     \"rounds\": " << cp.rounds
-       << ", \"round_wall_ns\": " << cp.round_wall_ns
-       << ", \"barrier_wait_ns\": " << cp.barrier_wait_ns
-       << ", \"barrier_wait_share\": ";
-    write_double(os, cp.barrier_wait_share);
-    os << ",\n     \"phases\": [";
-    bool first_phase = true;
-    for (const phase_profile& pp : cp.phases) {
-      os << (first_phase ? "\n" : ",\n");
-      first_phase = false;
-      os << "      {\"phase\": ";
-      write_json_string(os, pp.phase);
-      os << ", \"shards\": " << pp.shards.size()
-         << ", \"calls\": " << pp.calls
-         << ", \"wall_total_ns\": " << pp.wall_total_ns
-         << ", \"wall_mean_ns\": " << pp.wall_mean_ns
-         << ", \"wall_slowest_ns\": " << pp.wall_slowest_ns
-         << ", \"wall_p99_ns\": " << pp.wall_p99_ns
-         << ", \"slowest_shard\": " << pp.slowest_shard << ", \"skew\": ";
-      write_double(os, pp.skew);
-      os << ", \"barrier_wait_ns\": " << pp.barrier_wait_ns;
-      os << ",\n       \"per_shard\": [";
-      bool first_shard = true;
-      for (const shard_stat& st : pp.shards) {
-        os << (first_shard ? "\n" : ",\n");
-        first_shard = false;
-        os << "        {\"shard\": " << st.shard << ", \"calls\": " << st.calls
-           << ", \"wall_ns\": " << st.wall_ns
-           << ", \"barrier_wait_ns\": " << st.barrier_wait_ns
-           << ", \"hw_available\": " << (st.hw_available ? "true" : "false");
-        for (std::size_t i = 0; i < num_hw; ++i) {
-          os << ", \"" << kHwNames[i] << "\": " << st.hw[i];
-        }
-        os << ", \"ipc\": ";
-        write_double(os, st.hw_available ? st.ipc() : 0.0);
-        os << ", \"cache_miss_rate\": ";
-        write_double(os, st.hw_available ? st.cache_miss_rate() : 0.0);
-        os << "}";
-      }
-      os << (first_shard ? "]" : "\n       ]") << "}";
-    }
-    os << (first_phase ? "]" : "\n     ]") << "}";
-  }
-  os << (first_cell ? "]" : "\n  ]") << "\n}\n";
-}
-
-void write_profile_table(std::ostream& os, const profile_report& report) {
-  os << "profile: backend="
-     << (report.hardware_available ? "perf_event" : "fallback");
-  if (!report.hardware_available) {
-    os << " (" << report.fallback_reason << ")";
-  }
-  os << "\n";
-  const memory_profile& mem = report.memory;
-  os << "memory: max_rss=" << mem.max_rss_kb << "kB vm_hwm=" << mem.vm_hwm_kb
-     << "kB recorder=" << mem.recorder.spans << " spans/"
-     << mem.recorder.bytes / 1024 << "kB\n";
-  for (const cell_profile& cp : report.cells) {
-    char share[32];
-    std::snprintf(share, sizeof(share), "%.1f%%",
-                  cp.barrier_wait_share * 100.0);
-    os << "cell " << cp.cell << " " << cp.grid << " [" << cp.process << " @ "
-       << cp.scenario << "]: rounds=" << cp.rounds
-       << " round_wall=" << format_ms(cp.round_wall_ns)
-       << " barrier_share=" << share << "\n";
-    os << "  " << std::left << std::setw(20) << "phase" << std::right
-       << std::setw(7) << "shards" << std::setw(11) << "total" << std::setw(11)
-       << "mean" << std::setw(14) << "slowest" << std::setw(11) << "p99"
-       << std::setw(7) << "skew" << std::setw(11) << "barrier" << std::setw(7)
-       << "IPC" << std::setw(8) << "miss%" << "\n";
-    for (const phase_profile& pp : cp.phases) {
-      // Cell-wide IPC / miss-rate from the summed per-shard counters; a
-      // single unavailable shard poisons the aggregate so it prints "-".
-      bool hw_ok = !pp.shards.empty();
-      std::uint64_t instr = 0;
-      std::uint64_t cycles = 0;
-      std::uint64_t refs = 0;
-      std::uint64_t misses = 0;
-      for (const shard_stat& st : pp.shards) {
-        hw_ok = hw_ok && st.hw_available;
-        instr += st.hw[static_cast<std::size_t>(hw::instructions)];
-        cycles += st.hw[static_cast<std::size_t>(hw::cycles)];
-        refs += st.hw[static_cast<std::size_t>(hw::cache_references)];
-        misses += st.hw[static_cast<std::size_t>(hw::cache_misses)];
-      }
-      char skew[16];
-      std::snprintf(skew, sizeof(skew), "%.2f", pp.skew);
-      std::string slowest = format_ms(pp.wall_slowest_ns);
-      slowest += " (#" + std::to_string(pp.slowest_shard) + ")";
-      os << "  " << std::left << std::setw(20) << pp.phase << std::right
-         << std::setw(7) << pp.shards.size() << std::setw(11)
-         << format_ms(pp.wall_total_ns) << std::setw(11)
-         << format_ms(pp.wall_mean_ns) << std::setw(14) << slowest
-         << std::setw(11) << format_ms(pp.wall_p99_ns) << std::setw(7) << skew
-         << std::setw(11) << format_ms(pp.barrier_wait_ns);
-      if (hw_ok) {
-        char ipc[16];
-        std::snprintf(ipc, sizeof(ipc), "%.2f",
-                      safe_div(static_cast<double>(instr),
-                               static_cast<double>(cycles)));
-        char miss[16];
-        std::snprintf(miss, sizeof(miss), "%.1f",
-                      safe_div(static_cast<double>(misses),
-                               static_cast<double>(refs)) *
-                          100.0);
-        os << std::setw(7) << ipc << std::setw(8) << miss;
-      } else {
-        os << std::setw(7) << "-" << std::setw(8) << "-";
-      }
-      os << "\n";
-    }
-  }
 }
 
 }  // namespace dlb::obs::prof

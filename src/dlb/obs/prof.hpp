@@ -14,17 +14,17 @@
 // (tests/prof_test.cpp pins rows byte-identical with profiling on or off at
 // shard-threads 1 and 8).
 //
-// Post-run, `analyze_profile` folds the recorder's spans — per-shard phase
-// spans with their counter deltas, barrier:<phase> waits, round spans —
-// into per-cell per-phase skew statistics — slowest/mean/p99 shard,
-// barrier-wait share of round time, IPC and cache-miss rate per shard —
-// emitted as the deterministic-schema "dlb-profile-v2" JSON sidecar and a
-// human table (dlb_run --obs-profile).
+// Post-run, `analyze_profile` is the one fold of the recorder's spans by
+// (cell, phase, shard) — per-shard phase spans with their counter deltas,
+// barrier:<phase> waits, round spans — into per-cell per-phase skew
+// statistics: slowest/mean/p99 shard, barrier-wait share of round time, IPC
+// and cache-miss rate per shard. The exporters (obs/export.hpp) render the
+// report: the per-cell sidecar `dlb_run --trace` writes and the shard
+// balance rows of `--obs-summary`.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -39,6 +39,12 @@ enum class hw : std::size_t {
   cache_references = 2,
   cache_misses = 3,
   branch_misses = 4,
+};
+
+/// The slots' names, in hw order — the sidecar's per-shard counter keys.
+inline constexpr const char* hw_names[num_hw] = {
+    "cycles", "instructions", "cache_references", "cache_misses",
+    "branch_misses",
 };
 
 /// Probes the counter backend on the calling thread. False selects the
@@ -83,10 +89,7 @@ struct phase_profile {
 };
 
 struct cell_profile {
-  std::uint64_t cell = 0;
-  std::string grid;
-  std::string scenario;
-  std::string process;
+  cell_record cell;  ///< identity, finished flag and metrics snapshot
   std::uint64_t rounds = 0;       ///< count of round/tA_round spans
   std::int64_t round_wall_ns = 0; ///< summed round-span wall time
   std::int64_t barrier_wait_ns = 0;
@@ -107,7 +110,7 @@ struct profile_report {
   bool hardware_available = false;
   std::string fallback_reason;
   memory_profile memory;
-  std::vector<cell_profile> cells;  ///< recorder cell-registration order
+  std::vector<cell_profile> cells;  ///< every registered cell, in order
 };
 
 /// Process-wide memory high-water marks plus the recorder's footprint.
@@ -115,14 +118,8 @@ struct profile_report {
 [[nodiscard]] memory_profile sample_memory(const recorder* rec);
 
 /// Folds the recorder's cell-attributed spans into per-cell per-phase skew
-/// statistics. The recorder must be quiescent.
+/// statistics, one entry per registered cell (a cell that recorded no span
+/// has no phases). The recorder must be quiescent.
 [[nodiscard]] profile_report analyze_profile(const recorder& rec);
-
-/// The "dlb-profile-v2" sidecar: fixed key set and order, so downstream
-/// tooling (tools/check_profile.py) can validate the schema byte-for-byte.
-void write_profile_json(std::ostream& os, const profile_report& report);
-
-/// Human-readable skew table (dlb_run --obs-profile prints this to stderr).
-void write_profile_table(std::ostream& os, const profile_report& report);
 
 }  // namespace dlb::obs::prof

@@ -36,7 +36,7 @@
 namespace dlb::obs {
 
 /// Hardware counters a counters-on recorder reads at both ends of a span, in
-/// perf fd-group (and profile sidecar) order; prof::hw names the slots.
+/// perf fd-group (and sidecar) order; prof::hw names the slots.
 inline constexpr std::size_t num_hw = 5;
 using hw_counts = std::array<std::uint64_t, num_hw>;
 
@@ -144,7 +144,7 @@ class recorder {
   [[nodiscard]] std::vector<cell_record> cells() const;
 
   /// Buffer footprint (threads registered, spans held, bytes reserved) —
-  /// surfaced by the profile sidecar's memory section. Same quiescence
+  /// surfaced by the sidecar's memory section. Same quiescence
   /// contract as events().
   [[nodiscard]] recorder_footprint footprint() const;
 

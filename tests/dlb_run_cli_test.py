@@ -10,9 +10,12 @@ accepted. A path flag given without a value must fail with a one-line error
 instead of writing a file named `true`. A bad grid config must fail before
 --stream touches stdout or an existing --out file. --table over a
 --shard-threads list must print the scaling-efficiency table on stderr and
-leave stdout alone. A traced, summarized and profiled run (forced fallback
-backend) must leave stdout byte-identical to the plain run, print exactly
-one fallback notice, and produce artifacts the offline tools accept. Run as:
+leave stdout alone. --obs-profile without --trace or --obs-summary would
+record and print nothing, so it must be refused the same way. A traced,
+summarized and profiled run (forced fallback backend) must leave stdout
+byte-identical to the plain run, print exactly one fallback notice, and
+produce a sidecar `tools/obs_report.py check` accepts and a trace whose
+`tools/obs_report.py summary` is the run's --obs-summary text. Run as:
 
     tests/dlb_run_cli_test.py <path-to-dlb_run>
 
@@ -69,16 +72,22 @@ REJECTED = [
      "--arrival-rate must be a finite number > 0, got 0"),
     (["--service-rate", "nan"], 2,
      "--service-rate must be a finite number >= 0, got nan"),
+    # Counters with nowhere to go.
+    (["--obs-profile"], 2,
+     "--obs-profile needs --trace or --obs-summary to record and print "
+     "its counters"),
 ] + [
     # Removed flags: the static runner and the degree-weighted cut, the
-    # measured-cost scheduling hint, and the summary's tid count. The names
-    # are joined from parts so that a grep of the tree for them stays empty:
-    # this file is the only place they may still appear.
+    # measured-cost scheduling hint, the summary's tid count, and the
+    # separate profile sidecar path. The names are joined from parts so
+    # that a grep of the tree for them stays empty: this file is the only
+    # place they may still appear.
     ([f"--{flag}", value], 2, f"unknown argument: {flag}")
     for flag, value in ((f"shard-{'runner'}", "static"),
                         (f"shard-{'balance'}", "edges"),
                         (f"cost-{'baseline'}", "rows.json"),
-                        (f"obs-summary-{'top'}", "4"))
+                        (f"obs-summary-{'top'}", "4"),
+                        (f"obs-profile-{'out'}", "p.json"))
 ]
 
 # A tiny valid run: well-formed thread counts must still be accepted.
@@ -90,7 +99,6 @@ ACCEPTED = TINY + ["--shard-threads", "1,2"]
 BARE_PATHS = [
     ["--trace", "--obs-summary"],
     ["--trace"],
-    ["--obs-profile-out"],
     ["--out"],
     ["--checkpoint"],
     ["--resume"],
@@ -191,11 +199,12 @@ def check_scaling_table(dlb_run, untabled, failures):
 
 def check_obs_tools(dlb_run, plain, failures):
     """Trace + summary + profile under the forced fallback backend: rows
-    unchanged, one notice, and both offline tools accept the artifacts."""
+    unchanged, one notice, a sidecar the checker accepts, and an offline
+    summary equal to the run's own --obs-summary text."""
     env = dict(os.environ, DLB_PROF_FORCE_FALLBACK="1")
     with tempfile.TemporaryDirectory() as tmp:
         r = run(dlb_run, TINY + ["--trace", "t.json", "--obs-summary",
-                                 "--obs-profile-out", "p.json"],
+                                 "--obs-profile"],
                 cwd=tmp, env=env)
         if r.returncode != 0:
             failures.append(f"observed run: exit {r.returncode}, stderr "
@@ -208,15 +217,26 @@ def check_obs_tools(dlb_run, plain, failures):
         if len(notices) != 1:
             failures.append(f"observed run: {len(notices)} 'dlb prof:' "
                             "lines on stderr, want 1")
-        for tool in (["summarize_trace.py", "t.json"],
-                     ["check_profile.py", "p.json", "--expect-backend",
+        if sorted(os.listdir(tmp)) != ["t.json", "t.json.metrics.json"]:
+            failures.append(f"observed run: wrote {sorted(os.listdir(tmp))}, "
+                            "want the trace and its sidecar only")
+        tool = [sys.executable, str(TOOLS / "obs_report.py")]
+        outputs = {}
+        for mode in (["summary", "t.json"],
+                     ["check", "t.json.metrics.json", "--expect-backend",
                       "fallback"]):
-            t = subprocess.run([sys.executable, str(TOOLS / tool[0]),
-                                *tool[1:]], capture_output=True, text=True,
-                               timeout=120, cwd=tmp)
+            t = subprocess.run([*tool, *mode], capture_output=True,
+                               text=True, timeout=120, cwd=tmp)
+            outputs[mode[0]] = t.stdout
             if t.returncode != 0:
-                failures.append(f"{tool[0]}: exit {t.returncode}: "
+                failures.append(f"obs_report.py {mode[0]}: exit "
+                                f"{t.returncode}: "
                                 f"{(t.stdout + t.stderr)[-300:]!r}")
+        live = r.stderr[r.stderr.find("== obs summary"):]
+        if outputs["summary"] != live:
+            failures.append("obs_report.py summary differs from the run's "
+                            f"--obs-summary: {outputs['summary'][:200]!r} vs "
+                            f"{live[:200]!r}")
     return 1
 
 

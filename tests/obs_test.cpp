@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -24,6 +25,7 @@
 #include "dlb/graph/generators.hpp"
 #include "dlb/obs/export.hpp"
 #include "dlb/obs/metrics.hpp"
+#include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grids.hpp"
 #include "dlb/workload/initial_load.hpp"
@@ -310,17 +312,69 @@ TEST(ObsExportTest, ChromeTraceIsWellFormedAndCarriesShardSpans) {
   EXPECT_NE(text.find("\"ph\":\"X\""), std::string::npos);
 }
 
+/// The sidecar `--trace` writes for a recorder, rendered from its report.
+std::string sidecar_of(const obs::recorder& rec) {
+  std::ostringstream os;
+  obs::write_sidecar(os, obs::prof::analyze_profile(rec));
+  return os.str();
+}
+
 TEST(ObsExportTest, MetricsSidecarCarriesPerCellCounters) {
   obs::recorder rec;
   (void)run_json("table1", 1, &rec);
-  std::ostringstream sidecar;
-  obs::write_metrics_sidecar(sidecar, rec);
-  const std::string text = sidecar.str();
+  const std::string text = sidecar_of(rec);
   expect_balanced_json(text);
   EXPECT_NE(text.find("\"tokens_moved\""), std::string::npos);
   EXPECT_NE(text.find("\"rounds\""), std::string::npos);
-  EXPECT_NE(text.find("\"finished\":true"), std::string::npos);
+  EXPECT_NE(text.find("\"finished\": true"), std::string::npos);
   EXPECT_NE(text.find("\"process\""), std::string::npos);
+}
+
+TEST(ObsExportTest, SidecarCellCarriesCountersAndShardPhases) {
+  // One sidecar, one entry per cell: the metrics half (counters) and the
+  // span half (per-shard phases) of the same cell sit side by side.
+  obs::recorder rec;
+  (void)run_json("table1", 4, &rec);
+  const std::vector<obs::cell_record> cells = rec.cells();
+  ASSERT_FALSE(cells.empty());
+  const std::string text = sidecar_of(rec);
+  expect_balanced_json(text);
+  EXPECT_EQ(text.rfind("{\n  \"schema\": \"dlb-obs-v1\",\n", 0), 0u);
+
+  const std::string cell_open = "\n    {\"cell\": ";
+  std::size_t pos = text.find(cell_open);
+  for (const obs::cell_record& cell : cells) {
+    ASSERT_NE(pos, std::string::npos) << "no entry for cell " << cell.id;
+    const std::size_t next = text.find(cell_open, pos + 1);
+    const std::string entry = text.substr(pos, next - pos);
+    pos = next;
+    EXPECT_EQ(entry.rfind(cell_open + std::to_string(cell.id) +
+                              ", \"grid_cell\": " +
+                              std::to_string(cell.index) + ",",
+                          0),
+              0u)
+        << entry.substr(0, 80);
+    EXPECT_NE(entry.find("\"finished\": true"), std::string::npos);
+    EXPECT_GT(cell.snapshot.counter("tokens_moved"), 0u) << cell.process;
+    EXPECT_NE(entry.find("\"tokens_moved\": " +
+                         std::to_string(cell.snapshot.counter("tokens_moved"))),
+              std::string::npos)
+        << cell.process;
+
+    const std::string edge = "{\"phase\": \"edge_phase\", \"shards\": 4,";
+    const std::size_t phase = entry.find(edge);
+    ASSERT_NE(phase, std::string::npos) << cell.process;
+    const std::size_t phase_end = entry.find("{\"phase\": ", phase + 1);
+    const std::string per_shard = entry.substr(phase, phase_end - phase);
+    std::size_t items = 0;
+    for (std::size_t at = per_shard.find("{\"shard\": ");
+         at != std::string::npos;
+         at = per_shard.find("{\"shard\": ", at + 1)) {
+      ++items;
+    }
+    EXPECT_EQ(items, 4u) << cell.process;
+  }
+  EXPECT_EQ(pos, std::string::npos) << "more entries than cells";
 }
 
 TEST(ObsExportTest, SummaryNamesTheEightBusiestTids) {
@@ -337,7 +391,7 @@ TEST(ObsExportTest, SummaryNamesTheEightBusiestTids) {
     }
     for (std::thread& t : threads) t.join();
     std::ostringstream os;
-    obs::write_summary(os, rec);
+    obs::write_summary(os, rec, obs::prof::analyze_profile(rec));
     return os.str();
   };
   const auto tid_entries = [](const std::string& text) {
@@ -367,12 +421,62 @@ TEST(ObsExportTest, SummaryReportsShardSkewAndPhases) {
   obs::recorder rec;
   (void)run_json("table1", 4, &rec);
   std::ostringstream summary;
-  obs::write_summary(summary, rec);
+  obs::write_summary(summary, rec, obs::prof::analyze_profile(rec));
   const std::string text = summary.str();
   EXPECT_NE(text.find("top spans by total time"), std::string::npos);
   EXPECT_NE(text.find("per-phase shard balance"), std::string::npos);
   EXPECT_NE(text.find("edge_phase"), std::string::npos);
   EXPECT_NE(text.find("skew"), std::string::npos);
+  EXPECT_EQ(text.find("IPC"), std::string::npos)
+      << "a counters-off recorder read no counters";
+}
+
+TEST(ObsExportTest, SummaryBalanceRowsEqualReportSums) {
+  obs::recorder rec;
+  (void)run_json("table1", 4, &rec);
+  const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
+
+  // The expected rows, summed here straight off the report: per phase, the
+  // wall time of every shard >= 0 across all cells.
+  std::map<std::string, std::map<std::int32_t, std::int64_t>> sums;
+  for (const obs::prof::cell_profile& cp : report.cells) {
+    for (const obs::prof::phase_profile& pp : cp.phases) {
+      for (const obs::prof::shard_stat& st : pp.shards) {
+        if (st.shard >= 0) sums[pp.phase][st.shard] += st.wall_ns;
+      }
+    }
+  }
+  ASSERT_EQ(sums.size(), 3u) << "edge_phase, node_phase, node_phase_reduce";
+  std::ostringstream expected;
+  expected << "per-phase shard balance (totals across the run):\n"
+           << "  phase                         shards mean/shard ms"
+              "    slowest ms    skew\n";
+  for (const auto& [phase, shards] : sums) {
+    std::int64_t total = 0;
+    std::int64_t slowest = 0;
+    for (const auto& [shard, wall] : shards) {
+      total += wall;
+      slowest = std::max(slowest, wall);
+    }
+    const double mean =
+        static_cast<double>(total) / static_cast<double>(shards.size());
+    char row[160];
+    std::snprintf(row, sizeof(row), "  %-28s%8zu%14.2f%14.2f%7.2fx\n",
+                  phase.c_str(), shards.size(), mean / 1e6,
+                  static_cast<double>(slowest) / 1e6,
+                  mean > 0 ? static_cast<double>(slowest) / mean : 1.0);
+    expected << row;
+  }
+
+  std::ostringstream summary;
+  obs::write_summary(summary, rec, report);
+  const std::string text = summary.str();
+  const std::size_t begin = text.find("per-phase shard balance");
+  ASSERT_NE(begin, std::string::npos) << text;
+  EXPECT_EQ(text.substr(begin, expected.str().size()), expected.str());
+  EXPECT_EQ(text.find("barrier waits:", begin),
+            begin + expected.str().size())
+      << "the balance section holds exactly the summed rows";
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "dlb/core/linear_process.hpp"
 #include "dlb/core/sharding.hpp"
 #include "dlb/graph/generators.hpp"
+#include "dlb/obs/export.hpp"
 #include "dlb/obs/prof.hpp"
 #include "dlb/obs/recorder.hpp"
 #include "dlb/runtime/grids.hpp"
@@ -147,7 +148,7 @@ TEST(ProfFallbackTest, ForcedFallbackKeepsRowsAndSchemaWithOneNotice) {
     }
   }
   std::ostringstream sidecar;
-  write_profile_json(sidecar, report);
+  obs::write_sidecar(sidecar, report);
   expect_balanced_json(sidecar.str());
   EXPECT_NE(sidecar.str().find("\"backend\": \"fallback\""),
             std::string::npos);
@@ -181,8 +182,8 @@ TEST(ProfAnalysisTest, FoldsPerShardSpansAndBarrierWaits) {
   const obs::prof::profile_report report = obs::prof::analyze_profile(rec);
   ASSERT_EQ(report.cells.size(), 1u);
   const obs::prof::cell_profile& cp = report.cells[0];
-  EXPECT_EQ(cp.cell, cell);
-  EXPECT_EQ(cp.grid, "t");
+  EXPECT_EQ(cp.cell.id, cell);
+  EXPECT_EQ(cp.cell.grid, "t");
   EXPECT_GE(cp.barrier_wait_share, 0.0);
   EXPECT_LE(cp.barrier_wait_share, 1.0);
 
@@ -227,18 +228,69 @@ TEST(ProfAnalysisTest, ReportRendersAsJsonAndTable) {
   ASSERT_FALSE(report.cells.empty());
 
   std::ostringstream sidecar;
-  write_profile_json(sidecar, report);
+  obs::write_sidecar(sidecar, report);
   const std::string json = sidecar.str();
   expect_balanced_json(json);
-  EXPECT_NE(json.find("\"schema\": \"dlb-profile-v2\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\": \"dlb-obs-v1\""), std::string::npos);
   EXPECT_NE(json.find("\"barrier_wait_share\""), std::string::npos);
   EXPECT_NE(json.find("\"per_shard\""), std::string::npos);
   EXPECT_NE(json.find("\"cache_misses\""), std::string::npos);
 
   std::ostringstream table;
-  write_profile_table(table, report);
+  obs::write_summary(table, rec, report);
   EXPECT_NE(table.str().find("skew"), std::string::npos);
   EXPECT_NE(table.str().find("barrier"), std::string::npos);
+}
+
+TEST(ProfAnalysisTest, SummaryBalanceRowsGainCounterColumns) {
+  // Counters are read only where the PMU is exposed, so the report is
+  // given hand-set counts: the summed edge_phase counters give IPC
+  // 8000/4000 = 2.00 and miss 100/400 = 25.0%, and a phase with one shard
+  // lacking counters prints "-" in both columns.
+  obs::recorder rec;
+  (void)run_json("table1", 4, &rec);
+  obs::prof::profile_report report = obs::prof::analyze_profile(rec);
+  report.hardware_available = true;
+  report.fallback_reason.clear();
+  bool first_node_phase = true;
+  for (obs::prof::cell_profile& cp : report.cells) {
+    for (obs::prof::phase_profile& pp : cp.phases) {
+      for (obs::prof::shard_stat& st : pp.shards) {
+        st.hw_available = !(pp.phase == "node_phase" && first_node_phase);
+        if (pp.phase == "node_phase") first_node_phase = false;
+        st.hw = {};
+        if (pp.phase == "edge_phase" && &cp == &report.cells.front()) {
+          using obs::prof::hw;
+          st.hw[static_cast<std::size_t>(hw::cycles)] = 1000;
+          st.hw[static_cast<std::size_t>(hw::instructions)] = 2000;
+          st.hw[static_cast<std::size_t>(hw::cache_references)] = 100;
+          st.hw[static_cast<std::size_t>(hw::cache_misses)] = 25;
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(first_node_phase) << "table1 at 4 shards steps node phases";
+
+  std::ostringstream summary;
+  obs::write_summary(summary, rec, report);
+  const std::string text = summary.str();
+  const std::size_t balance = text.find("per-phase shard balance");
+  ASSERT_NE(balance, std::string::npos) << text;
+  const auto line_of = [&](const std::string& head) {
+    const std::size_t at = text.find(head, balance);
+    return at == std::string::npos
+               ? std::string()
+               : text.substr(at, text.find('\n', at) - at);
+  };
+  EXPECT_EQ(line_of("  phase "),
+            "  phase                         shards mean/shard ms"
+            "    slowest ms    skew    IPC   miss%");
+  const auto tail_of = [&](const std::string& head) {
+    const std::string line = line_of(head);
+    return line.substr(line.size() < 16 ? 0 : line.size() - 16);
+  };
+  EXPECT_EQ(tail_of("  edge_phase "), "x   2.00    25.0") << text;
+  EXPECT_EQ(tail_of("  node_phase "), "x      -       -") << text;
 }
 
 TEST(ProfSpanCountersTest, CountersOffAndFallbackSpansCarryNoCounters) {
