@@ -46,18 +46,21 @@ locality_stats task_locality(const graph& g, const task_assignment& a) {
     return d;
   };
 
+  // One step per run: its tasks share one origin, hence one distance. The
+  // distance sum is integer-valued, so adding d·count at once gives the
+  // same bits as adding d count times.
   for (node_id host = 0; host < g.num_nodes(); ++host) {
-    const task_pool& pool = a.pool(host);
-    const auto& origins = pool.real_task_origins();
-    for (const node_id origin : origins) {
+    for (const task_run& run : a.pool(host).runs()) {
+      const node_id origin = run.origin;
       if (origin == invalid_node) continue;
       DLB_EXPECTS(origin >= 0 && origin < g.num_nodes());
       const node_id d = distances_from(origin)[static_cast<size_t>(host)];
       DLB_EXPECTS(d != invalid_node);  // connected graphs only
-      ++stats.tasks;
-      total_distance += static_cast<real_t>(d);
+      const auto tasks = static_cast<std::size_t>(run.count);
+      stats.tasks += tasks;
+      total_distance += static_cast<real_t>(d) * static_cast<real_t>(run.count);
       stats.max_distance = std::max(stats.max_distance, d);
-      if (d == 0) ++at_origin;
+      if (d == 0) at_origin += tasks;
     }
   }
   if (stats.tasks > 0) {

@@ -1,6 +1,7 @@
 #include "dlb/core/algorithm1.hpp"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace dlb {
@@ -42,7 +43,12 @@ algorithm1::algorithm1(std::unique_ptr<continuous_process> process,
 
 void algorithm1::inject_tokens(node_id i, weight_t count) {
   DLB_EXPECTS(count >= 0);
-  for (weight_t k = 0; k < count; ++k) inject_task(i, 1);
+  if (count == 0) return;
+  tasks_.pool(i).add_real(1, i, count);
+  loads_[static_cast<size_t>(i)] += count;
+  // One unit at a time: adding 1.0 `count` times is not bit-equal to adding
+  // `count` once, and the continuous copy must see the arrivals' old bits.
+  for (weight_t k = 0; k < count; ++k) process_->inject_load(i, 1.0);
 }
 
 void algorithm1::inject_task(node_id i, weight_t w) {
@@ -62,8 +68,8 @@ weight_t algorithm1::drain_tokens(node_id i, weight_t count) {
 
 // Phase 1 (per edge): flow deficit ŷ_{u,v}(t) = f^A(t) - f^D(t-1), oriented
 // u→v, with near-integer values snapped to kill float dust. Also resets the
-// edge's transfer set and last-sent record for this round. Reads only
-// pre-round state, so any edge partition computes identical bits.
+// edge's last-sent record for this round. Reads only pre-round state, so
+// any edge partition computes identical bits.
 void algorithm1::deficit_phase(const edge_slice& es) {
   es.for_each([&](edge_id e) {
     real_t deficit = process_->cumulative_flow(e) -
@@ -72,12 +78,6 @@ void algorithm1::deficit_phase(const edge_slice& es) {
     if (std::abs(deficit - snapped) < flow_epsilon) deficit = snapped;
     deficit_[static_cast<size_t>(e)] = deficit;
     last_sent_[static_cast<size_t>(e)] = 0;
-    pending_transfer& out = outbox_[static_cast<size_t>(e)];
-    out.to = invalid_node;
-    out.real_weights.clear();
-    out.real_origins.clear();
-    out.dummy_count = 0;
-    out.total = 0;
   });
 }
 
@@ -89,8 +89,16 @@ void algorithm1::deficit_phase(const edge_slice& es) {
 // ("unallocated tasks"). Exactly one endpoint of an edge is its sender, so
 // the per-edge writes (outbox, ledger, last_sent) have a single writer, and
 // a node's pool evolves exactly as under the sequential global edge loop.
+//
+// The paper's loop adds one task at a time while ŷ - |S| >= w_max (floor
+// semantics; see header note), drawing dummies only from an empty pool.
+// Here the pool offers whole runs, and `take` says how many tasks of a run
+// that loop would add: a closed-form estimate, then a fix-up that
+// re-evaluates the loop's own double expression at the boundary, so float
+// edges land exactly where the one-at-a-time loop lands.
 weight_t algorithm1::send_phase(node_id i0, node_id i1) {
   const graph& g = process_->topology();
+  const real_t floor_at = static_cast<real_t>(wmax_) - flow_epsilon;
   weight_t dummies_minted = 0;
   for (node_id i = i0; i < i1; ++i) {
     task_pool& pool = tasks_.pool(i);
@@ -109,32 +117,44 @@ weight_t algorithm1::send_phase(node_id i0, node_id i1) {
         continue;
       }
 
-      pending_transfer& out = outbox_[static_cast<size_t>(e)];
-      out.to = inc.neighbor;
-      // while ŷ - |S| >= w_max: add one more task (floor semantics; see
-      // header note). Dummies are created only when the pool is empty.
-      while (amount - static_cast<real_t>(out.total) >=
-             static_cast<real_t>(wmax_) - flow_epsilon) {
-        if (pool.empty()) {
-          ++out.dummy_count;
-          ++out.total;
-          ++dummies_minted;
-        } else {
-          const task_pool::removed_task q =
-              pool.remove_arbitrary(config_.removal);
-          if (q.is_dummy) {
-            ++out.dummy_count;
-          } else {
-            out.real_weights.push_back(q.weight);
-            out.real_origins.push_back(q.origin);
-          }
-          out.total += q.weight;
+      // The loop condition with |S| = `total`; monotone in `total`.
+      const auto adds_more = [&](weight_t total) {
+        return amount - static_cast<real_t>(total) >= floor_at;
+      };
+      if (!adds_more(0)) continue;  // the loop would not run: nothing sent
+      task_transfer& set = outbox_[static_cast<size_t>(e)];
+      set.clear();
+      // How many of `cap` further tasks of weight w the loop adds.
+      const auto take = [&](weight_t w, weight_t cap) -> weight_t {
+        const real_t room =
+            (amount - floor_at - static_cast<real_t>(set.total)) /
+            static_cast<real_t>(w);
+        weight_t k = 0;
+        if (room >= static_cast<real_t>(cap)) {
+          k = cap;
+        } else if (room >= 0) {
+          k = static_cast<weight_t>(room) + 1;
         }
+        // ±1 fix-up: where rounding puts the estimate one off the loop.
+        if (k > 0 && !adds_more(set.total + (k - 1) * w)) {
+          --k;
+        } else if (k < cap && adds_more(set.total + k * w)) {
+          ++k;
+        }
+        DLB_ASSERT((k == 0 || adds_more(set.total + (k - 1) * w)) &&
+                   (k == cap || !adds_more(set.total + k * w)));
+        return k;
+      };
+      pool.move_into(set, config_.removal, take);
+      if (pool.empty()) {
+        const weight_t minted =
+            take(1, std::numeric_limits<weight_t>::max() - set.total);
+        set.dummies += minted;
+        set.total += minted;
+        dummies_minted += minted;
       }
-      if (out.total > 0) {
-        ledger_.record(e, i, out.total);
-        last_sent_[static_cast<size_t>(e)] = is_u ? out.total : -out.total;
-      }
+      ledger_.record(e, i, set.total);
+      last_sent_[static_cast<size_t>(e)] = is_u ? set.total : -set.total;
     }
   }
   return dummies_minted;
@@ -151,13 +171,13 @@ void algorithm1::receive_phase(node_id i0, node_id i1) {
   for (node_id i = i0; i < i1; ++i) {
     task_pool& dest = tasks_.pool(i);
     for (const incidence& inc : g.neighbors(i)) {
-      const pending_transfer& out = outbox_[static_cast<size_t>(inc.edge)];
-      if (out.to != i || out.total == 0) continue;
-      for (std::size_t k = 0; k < out.real_weights.size(); ++k) {
-        dest.add_real(out.real_weights[k], out.real_origins[k]);
-      }
-      dest.add_dummies(out.dummy_count);
-      moved += out.total;
+      // Something crossed the edge this round iff last_sent is nonzero;
+      // its sign says which way (positive = u→v, and i is u iff the
+      // neighbour is larger).
+      const weight_t sent = last_sent_[static_cast<size_t>(inc.edge)];
+      if (sent == 0 || (sent > 0) == (inc.neighbor > i)) continue;
+      dest.receive(outbox_[static_cast<size_t>(inc.edge)]);
+      moved += sent > 0 ? sent : -sent;
     }
     loads_[static_cast<size_t>(i)] = dest.total_weight();
   }

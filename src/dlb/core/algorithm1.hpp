@@ -16,6 +16,10 @@
 // Loop-condition note (documented in DESIGN.md §3): we add tasks while
 // `deficit - |S| >= w_max`, i.e. floor semantics, matching the paper's prose
 // ("send ⌊f^A - f^D(t-1)⌋") and Observation 4's strict bound |e| < w_max.
+// Pools and transfer sets hold runs of identical tasks (core/tasks.hpp), so
+// the send phase evaluates that loop per run in closed form, with a fix-up
+// that keeps its float edges; tests/oracle/ holds the one-task-at-a-time
+// loop it is checked against.
 #pragma once
 
 #include <memory>
@@ -42,8 +46,8 @@ struct algorithm1_config {
 /// a receive phase (each node drains its inbound transfer sets, again in
 /// ascending edge-id order) — the shared `sharded_stepper` protocol.
 /// `enable_sharded_stepping` runs the phases over a shard plan with results
-/// bit-identical to the sequential round (the pool push/pop order per node
-/// is preserved exactly; see core/sharding.hpp).
+/// bit-identical to the sequential round (each pool's run order is
+/// preserved exactly; see core/sharding.hpp).
 class algorithm1 final : public discrete_process,
                          public sharded_stepper,
                          public snapshot::checkpointable {
@@ -75,8 +79,9 @@ class algorithm1 final : public discrete_process,
     return "alg1-flow-imitation(" + process_->name() + ")";
   }
 
-  /// Dynamic arrivals: `count` unit tasks land on node i, mirrored into the
-  /// internal continuous process (additivity keeps the imitation valid).
+  /// Dynamic arrivals: `count` unit tasks land on node i as one run,
+  /// mirrored into the internal continuous process one unit at a time
+  /// (additivity keeps the imitation valid).
   void inject_tokens(node_id i, weight_t count) override;
 
   /// Weighted arrival variant: one task of weight `w`.
@@ -139,19 +144,9 @@ class algorithm1 final : public discrete_process,
   void on_probe_attached(const obs::probe& pb) override;
 
  private:
-  /// One pending transfer: the task set S_ij in flight over an edge.
-  /// Persistent (vectors keep their capacity across rounds) so that a
-  /// million-edge round does not churn the allocator.
-  struct pending_transfer {
-    node_id to = invalid_node;
-    std::vector<weight_t> real_weights;
-    std::vector<node_id> real_origins;  // parallel to real_weights
-    weight_t dummy_count = 0;
-    weight_t total = 0;
-  };
-
   // One round's phases; ranges are one chunk of edges/nodes. The send
-  // phase returns the chunk's dummy-token mint count.
+  // phase moves whole runs into the outbox and returns the chunk's
+  // dummy-token mint count; the receive phase appends the runs in order.
   void deficit_phase(const edge_slice& es);
   [[nodiscard]] weight_t send_phase(node_id i0, node_id i1);
   void receive_phase(node_id i0, node_id i1);
@@ -166,7 +161,9 @@ class algorithm1 final : public discrete_process,
   weight_t dummy_created_ = 0;
   round_t t_ = 0;
   std::vector<real_t> deficit_;           // per-edge ŷ, oriented u→v (reused)
-  std::vector<pending_transfer> outbox_;  // per-edge transfer sets (reused)
+  // Per-edge transfer sets S_ij, as runs. An edge's set is cleared and
+  // filled only in a round it sends in (last_sent_ != 0), and read only then.
+  std::vector<task_transfer> outbox_;
 };
 
 }  // namespace dlb

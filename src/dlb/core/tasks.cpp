@@ -1,6 +1,8 @@
 #include "dlb/core/tasks.hpp"
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 namespace dlb {
 
@@ -10,7 +12,7 @@ task_assignment task_assignment::tokens(const std::vector<weight_t>& counts) {
   for (node_id i = 0; i < a.num_nodes(); ++i) {
     const weight_t c = counts[static_cast<size_t>(i)];
     DLB_EXPECTS(c >= 0);
-    for (weight_t k = 0; k < c; ++k) a.pool(i).add_real(1, /*origin=*/i);
+    if (c > 0) a.pool(i).add_real(1, /*origin=*/i, c);
   }
   return a;
 }
@@ -65,29 +67,108 @@ void task_assignment::real_load_extrema(node_id begin, node_id end,
 
 weight_t task_assignment::max_task_weight() const {
   weight_t wmax = 1;
-  for (const task_pool& p : pools_) {
-    for (const weight_t w : p.real_task_weights()) wmax = std::max(wmax, w);
-  }
+  for (const task_pool& p : pools_) wmax = std::max(wmax, p.max_task_weight());
   return wmax;
 }
 
+namespace {
+
+// total + w·count, or a one-line contract_violation when the pool total
+// would leave weight_t (a 24-byte run can hold 2^62 tokens).
+weight_t grown_total(weight_t total, weight_t w, weight_t count) {
+  weight_t added = 0;
+  weight_t sum = 0;
+  if (__builtin_mul_overflow(w, count, &added) ||
+      __builtin_add_overflow(total, added, &sum)) {
+    throw contract_violation("task pool total " + std::to_string(total) +
+                             " plus " + std::to_string(count) +
+                             " tasks of weight " + std::to_string(w) +
+                             " overflows weight_t");
+  }
+  return sum;
+}
+
+}  // namespace
+
+void task_pool::add_real(weight_t w, node_id origin, weight_t count) {
+  DLB_EXPECTS(w >= 1);
+  DLB_EXPECTS(count >= 1);
+  total_ = grown_total(total_, w, count);
+  push_run(runs_, {w, count, origin});
+}
+
+void task_pool::add_dummies(weight_t count) {
+  DLB_EXPECTS(count >= 0);
+  total_ = grown_total(total_, 1, count);
+  dummy_count_ += count;
+}
+
+std::size_t task_pool::real_task_count() const noexcept {
+  weight_t tasks = 0;
+  for (const task_run& r : runs_) tasks += r.count;
+  return static_cast<std::size_t>(tasks);
+}
+
+void task_pool::receive(const task_transfer& in) {
+  for (const task_run& r : in.runs) add_real(r.weight, r.origin, r.count);
+  add_dummies(in.dummies);
+}
+
+weight_t task_pool::drain_real_units(weight_t count) {
+  DLB_EXPECTS(count >= 0);
+  weight_t drained = 0;
+  while (drained < count && !runs_.empty() && runs_.back().weight == 1) {
+    task_run& top = runs_.back();
+    const weight_t k = std::min(count - drained, top.count);
+    top.count -= k;
+    drained += k;
+    if (top.count == 0) runs_.pop_back();
+  }
+  total_ -= drained;
+  return drained;
+}
+
+weight_t task_pool::max_task_weight() const noexcept {
+  weight_t wmax = 0;
+  for (const task_run& r : runs_) wmax = std::max(wmax, r.weight);
+  return wmax;
+}
+
+std::vector<weight_t> task_pool::real_task_weights() const {
+  std::vector<weight_t> weights;
+  weights.reserve(real_task_count());
+  for (const task_run& r : runs_) {
+    weights.insert(weights.end(), static_cast<std::size_t>(r.count), r.weight);
+  }
+  return weights;
+}
+
+std::vector<node_id> task_pool::real_task_origins() const {
+  std::vector<node_id> origins;
+  origins.reserve(real_task_count());
+  for (const task_run& r : runs_) {
+    origins.insert(origins.end(), static_cast<std::size_t>(r.count), r.origin);
+  }
+  return origins;
+}
+
 void task_pool::save_state(snapshot::writer& w) const {
-  w.vec_int(real_);
-  w.vec_int(origins_);
+  w.vec_int(real_task_weights());
+  w.vec_int(real_task_origins());
   w.i64(dummy_count_);
 }
 
 void task_pool::restore_state(snapshot::reader& r) {
-  real_ = r.vec_int<weight_t>();
-  origins_ = r.vec_int<node_id>();
+  const std::vector<weight_t> weights = r.vec_int<weight_t>();
+  const std::vector<node_id> origins = r.vec_int<node_id>();
   const weight_t dummies = r.i64();
-  DLB_EXPECTS(real_.size() == origins_.size() && dummies >= 0);
-  dummy_count_ = dummies;
-  total_ = dummy_count_;
-  for (const weight_t w : real_) {
-    DLB_EXPECTS(w >= 1);
-    total_ += w;
+  DLB_EXPECTS(weights.size() == origins.size());
+  task_pool restored;
+  for (std::size_t k = 0; k < weights.size(); ++k) {
+    restored.add_real(weights[k], origins[k]);
   }
+  restored.add_dummies(dummies);
+  *this = std::move(restored);
 }
 
 void task_assignment::save_state(snapshot::writer& w) const {

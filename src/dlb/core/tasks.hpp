@@ -20,26 +20,45 @@ enum class removal_policy {
   dummy_first,  ///< prefer circulating dummies back out first
 };
 
-/// The multiset of tasks residing on one node.
+/// `count` identical real tasks: the same weight and the same origin.
+struct task_run {
+  weight_t weight = 1;
+  weight_t count = 0;
+  node_id origin = invalid_node;
+
+  friend bool operator==(const task_run&, const task_run&) = default;
+};
+
+/// Tasks in flight over one edge (Algorithm 1's transfer set S_ij): the real
+/// runs in the order they left the sender's pool, then `dummies` unit dummy
+/// tokens. `total` is their summed weight.
+struct task_transfer {
+  std::vector<task_run> runs;
+  weight_t dummies = 0;
+  weight_t total = 0;
+
+  void clear() {
+    runs.clear();
+    dummies = 0;
+    total = 0;
+  }
+};
+
+/// The multiset of tasks residing on one node, stored as runs of identical
+/// tasks in LIFO order (the top of the stack is the back run); adjacent runs
+/// with equal weight and origin merge. Dummy tokens carry no origin and are
+/// a separate count. A pool of 2^40 tokens from one origin is one run.
 class task_pool {
  public:
   task_pool() = default;
 
-  /// Adds one real task of weight `w` >= 1. `origin` records where the task
-  /// entered the system (for locality analyses; invalid_node if untracked).
-  void add_real(weight_t w, node_id origin = invalid_node) {
-    DLB_EXPECTS(w >= 1);
-    real_.push_back(w);
-    origins_.push_back(origin);
-    total_ += w;
-  }
+  /// Pushes `count` >= 1 real tasks of weight `w` >= 1 on top. `origin`
+  /// records where they entered the system (for locality analyses;
+  /// invalid_node if untracked). The pool total must stay within weight_t.
+  void add_real(weight_t w, node_id origin = invalid_node, weight_t count = 1);
 
   /// Adds `count` dummy unit-weight tokens.
-  void add_dummies(weight_t count) {
-    DLB_EXPECTS(count >= 0);
-    dummy_count_ += count;
-    total_ += count;
-  }
+  void add_dummies(weight_t count);
 
   /// Total weight including dummy tokens — the discrete load x^D_i.
   [[nodiscard]] weight_t total_weight() const noexcept { return total_; }
@@ -51,76 +70,97 @@ class task_pool {
 
   [[nodiscard]] weight_t dummy_count() const noexcept { return dummy_count_; }
 
-  [[nodiscard]] std::size_t real_task_count() const noexcept {
-    return real_.size();
+  /// Number of real tasks (O(runs)).
+  [[nodiscard]] std::size_t real_task_count() const noexcept;
+
+  [[nodiscard]] bool empty() const noexcept { return total_ == 0; }
+
+  /// The real runs, bottom of the stack first.
+  [[nodiscard]] const std::vector<task_run>& runs() const noexcept {
+    return runs_;
   }
 
-  [[nodiscard]] bool empty() const noexcept {
-    return real_.empty() && dummy_count_ == 0;
-  }
-
-  /// The result of removing one task.
-  struct removed_task {
-    weight_t weight = 0;
-    bool is_dummy = false;
-    node_id origin = invalid_node;
-  };
-
-  /// Removes one arbitrary task per `policy`. Precondition: !empty().
-  removed_task remove_arbitrary(removal_policy policy) {
-    DLB_EXPECTS(!empty());
-    const bool take_dummy =
-        (policy == removal_policy::dummy_first) ? dummy_count_ > 0
-                                                : real_.empty();
-    if (take_dummy) {
-      --dummy_count_;
-      --total_;
-      return {1, true, invalid_node};
+  /// Moves tasks onto the back of `out` in the order the paper's "remove an
+  /// arbitrary task" loop would pop them one by one: real tasks top-down
+  /// then dummies under real_first, dummies first under dummy_first. Each
+  /// run (and the dummy count, as a run of weight 1) is offered whole:
+  /// `take(w, c)` returns how many of its next c tasks of weight w to move,
+  /// 0 <= k <= c, and sees out.total already advanced past earlier runs.
+  /// The first run it cuts short ends the transfer, as the loop would.
+  template <typename Take>
+  void move_into(task_transfer& out, removal_policy policy, Take&& take) {
+    if (policy == removal_policy::dummy_first &&
+        !move_dummies_into(out, take)) {
+      return;
     }
-    const weight_t w = real_.back();
-    const node_id origin = origins_.back();
-    real_.pop_back();
-    origins_.pop_back();
-    total_ -= w;
-    return {w, false, origin};
+    while (!runs_.empty()) {
+      const task_run top = runs_.back();
+      const weight_t k = take(top.weight, top.count);
+      DLB_ASSERT(k >= 0 && k <= top.count);
+      if (k == 0) return;
+      push_run(out.runs, {top.weight, k, top.origin});
+      out.total += k * top.weight;
+      total_ -= k * top.weight;
+      if (k < top.count) {
+        runs_.back().count -= k;
+        return;
+      }
+      runs_.pop_back();
+    }
+    if (policy == removal_policy::real_first) move_dummies_into(out, take);
   }
+
+  /// Pushes a transfer set's real runs in order, then its dummies.
+  void receive(const task_transfer& in);
 
   /// Removes up to `count` unit-weight real tasks (service completions;
-  /// dummies never leave through service). Pops from the back — the same
-  /// LIFO end remove_arbitrary uses — and stops early at a task of weight
-  /// > 1 (weighted tasks do not complete in unit quanta) or when the pool
-  /// runs out of real tasks. Returns the number of units removed.
-  weight_t drain_real_units(weight_t count) {
-    DLB_EXPECTS(count >= 0);
-    weight_t drained = 0;
-    while (drained < count && !real_.empty() && real_.back() == 1) {
-      real_.pop_back();
-      origins_.pop_back();
-      --total_;
-      ++drained;
-    }
-    return drained;
-  }
+  /// dummies never leave through service). Takes from the top — the same
+  /// LIFO end move_into uses — and stops early at a task of weight > 1
+  /// (weighted tasks do not complete in unit quanta) or when the pool runs
+  /// out of real tasks. Returns the number of units removed.
+  weight_t drain_real_units(weight_t count);
 
-  /// Weights of the real tasks currently in the pool (unordered multiset
-  /// view; exposed for tests and examples).
-  [[nodiscard]] const std::vector<weight_t>& real_task_weights() const {
-    return real_;
-  }
+  /// Largest real task weight, 0 for a pool without real tasks.
+  [[nodiscard]] weight_t max_task_weight() const noexcept;
+
+  /// The real tasks' weights, one entry per task, bottom of the stack first
+  /// (an expanded copy, for tests and examples).
+  [[nodiscard]] std::vector<weight_t> real_task_weights() const;
 
   /// Origins parallel to real_task_weights() (invalid_node if untracked).
-  [[nodiscard]] const std::vector<node_id>& real_task_origins() const {
-    return origins_;
-  }
+  [[nodiscard]] std::vector<node_id> real_task_origins() const;
 
-  /// Checkpointing: the pool's exact contents, *in storage order* — removal
-  /// is LIFO, so the order is state, not an implementation detail.
+  /// Checkpointing: the pool's exact contents in stack order — removal is
+  /// LIFO, so the order is state, not an implementation detail. The wire
+  /// format lists one weight and one origin per task (runs expanded), then
+  /// the dummy count; restore merges the tasks back into runs.
   void save_state(snapshot::writer& w) const;
   void restore_state(snapshot::reader& r);
 
  private:
-  std::vector<weight_t> real_;  // weights; removal order is LIFO ("arbitrary")
-  std::vector<node_id> origins_;  // parallel to real_
+  // Appends `r` to a run stack, merging it into an equal top run.
+  static void push_run(std::vector<task_run>& runs, const task_run& r) {
+    if (!runs.empty() && runs.back().weight == r.weight &&
+        runs.back().origin == r.origin) {
+      runs.back().count += r.count;
+    } else {
+      runs.push_back(r);
+    }
+  }
+
+  template <typename Take>
+  bool move_dummies_into(task_transfer& out, Take& take) {
+    if (dummy_count_ == 0) return true;
+    const weight_t k = take(1, dummy_count_);
+    DLB_ASSERT(k >= 0 && k <= dummy_count_);
+    out.dummies += k;
+    out.total += k;
+    dummy_count_ -= k;
+    total_ -= k;
+    return dummy_count_ == 0;
+  }
+
+  std::vector<task_run> runs_;  // bottom → top; removal is LIFO
   weight_t dummy_count_ = 0;
   weight_t total_ = 0;
 };

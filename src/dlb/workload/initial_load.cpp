@@ -113,15 +113,10 @@ task_assignment decompose_heavy_light(const std::vector<weight_t>& loads,
     DLB_EXPECTS(remaining >= 0);
     weight_t heavy_budget = static_cast<weight_t>(
         std::floor(p_heavy * static_cast<real_t>(remaining)));
-    while (heavy_budget >= wmax) {
-      a.pool(i).add_real(wmax, i);
-      heavy_budget -= wmax;
-      remaining -= wmax;
-    }
-    while (remaining > 0) {
-      a.pool(i).add_real(1, i);
-      --remaining;
-    }
+    const weight_t heavy = heavy_budget / wmax;
+    if (heavy > 0) a.pool(i).add_real(wmax, i, heavy);
+    remaining -= heavy * wmax;
+    if (remaining > 0) a.pool(i).add_real(1, i, remaining);
   }
   return a;
 }

@@ -15,7 +15,10 @@ record and print nothing, so it must be refused the same way. A traced,
 summarized and profiled run (forced fallback backend) must leave stdout
 byte-identical to the plain run, print exactly one fallback notice, and
 produce a sidecar `tools/obs_report.py check` accepts and a trace whose
-`tools/obs_report.py summary` is the run's --obs-summary text. Run as:
+`tools/obs_report.py summary` is the run's --obs-summary text. The largest
+spike the CLI accepts (2^33 tokens per node in the convergence grid) must
+finish in 2 GiB of address space, since task pools hold runs of tokens, not
+one entry per token. Run as:
 
     tests/dlb_run_cli_test.py <path-to-dlb_run>
 
@@ -23,8 +26,10 @@ Registered as the `dlb_run_cli_test` ctest when a Python interpreter is
 available.
 """
 
+import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import tempfile
@@ -240,6 +245,33 @@ def check_obs_tools(dlb_run, plain, failures):
     return 1
 
 
+def check_huge_spike_fits(dlb_run, failures):
+    """2^37 tokens in 16-node cells, under an address-space limit set on the
+    child only. Sanitizer runtimes reserve terabytes of shadow memory, which
+    RLIMIT_AS cannot tell from the heap, so their trees skip the check."""
+    binary = pathlib.Path(dlb_run).read_bytes()
+    if b"__asan_init" in binary or b"__tsan_init" in binary:
+        print("dlb_run_cli_test: sanitizer build, huge-spike check skipped")
+        return 0
+    limit = 2 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    r = subprocess.run([dlb_run, "--grid", "convergence", "--n", "16",
+                        "--repeats", "1", "--spike-per-node", "4294967296",
+                        "--threads", "2"],
+                       capture_output=True, text=True, timeout=120,
+                       preexec_fn=cap_address_space)
+    if r.returncode != 0:
+        failures.append(f"huge spike under 2 GiB: exit {r.returncode}, "
+                        f"stderr {r.stderr[-200:]!r}")
+    elif len(json.loads(r.stdout)) != 10:
+        failures.append(f"huge spike under 2 GiB: "
+                        f"{len(json.loads(r.stdout))} rows, want 10")
+    return 1
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -249,6 +281,7 @@ def main():
     checks = check_rejected(dlb_run, failures)
     checks += check_bare_paths(dlb_run, failures)
     checks += check_bad_config_under_stream(dlb_run, failures)
+    checks += check_huge_spike_fits(dlb_run, failures)
     r = run(dlb_run, ACCEPTED)
     checks += 1
     if r.returncode != 0 or not r.stdout.startswith("["):

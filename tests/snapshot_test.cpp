@@ -204,6 +204,37 @@ TEST(SnapshotFormatTest, GoldenFixtureStillRestores) {
          "wire-format or state-layout drift without a version bump";
 }
 
+// The committed fixture is byte for byte what a fresh run of the same
+// configuration saves today (tools/make_snapshot_fixture's run): the pools
+// hold runs of tasks, and save_state expands them back into the per-task
+// wire format.
+TEST(SnapshotFormatTest, FreshRunSavesTheGoldenFixtureBytes) {
+  const auto read_bytes = [](const std::string& path) {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    std::vector<std::uint8_t> bytes;
+    if (f == nullptr) return bytes;
+    for (int c = std::fgetc(f); c != EOF; c = std::fgetc(f)) {
+      bytes.push_back(static_cast<std::uint8_t>(c));
+    }
+    std::fclose(f);
+    return bytes;
+  };
+  const auto g = make_g(generators::path(8));
+  const speed_vector s = uniform_speeds(g->num_nodes());
+  const auto tokens = workload::point_mass(g->num_nodes(), 0, 120);
+  algorithm1 fresh(
+      make_fos(g, s, make_alphas(*g, alpha_scheme::half_max_degree)),
+      task_assignment::tokens(tokens));
+  run_rounds(fresh, 5);
+  const std::string path = ::testing::TempDir() + "snapshot_golden.ckpt";
+  save_checkpoint(fresh, path);
+  const std::string golden =
+      std::string(DLB_TEST_FIXTURE_DIR) + "/snapshot_v1.ckpt";
+  EXPECT_EQ(read_bytes(path), read_bytes(golden));
+  std::remove(path.c_str());
+}
+
 TEST(SnapshotFormatTest, RequireCheckpointableNamesTheComponent) {
   struct plain {
     virtual ~plain() = default;
